@@ -107,6 +107,43 @@ class TestReplayEngineIdentity:
         assert compiled.fingerprint() == interpreted.fingerprint()
 
 
+class TestInvalidCycleIdentity:
+    """A cycle the live monitor rejects crashes identically everywhere.
+
+    A one-cycle glitch of ``hresp`` to 7 makes the monitor raise once
+    the ledger holds 101 cycles.  The compiled recorder must flush and hand that
+    cycle to the live step, so the outcome, its detail, the fingerprint
+    and the torn monitor state equal the interpreted run's, whether the
+    rows before it are replayed by NumPy or by the scalar step."""
+
+    SPEC = campaign_spec("portable-audio-player", seed=3,
+                         duration_us=3.0).replace(
+        scenario_kwargs={"checker": False}, watchdog=False,
+        faults=[FaultEntry.signal_fault("glitch", "hresp", value=7,
+                                        cycles=1, start_ps=1_000_000)])
+
+    def _observe(self, engine):
+        system, outcome = execute(self.SPEC.replace(engine=engine))
+        return (outcome.outcome, outcome.detail, outcome.fingerprint(),
+                system.ledger.state_dict(), system.monitor.state_dict())
+
+    def test_engines_and_replay_paths_agree(self, monkeypatch):
+        interpreted = self._observe("interpreted")
+        assert interpreted[0] == "crashed"
+        assert "power_monitor.monitor" in interpreted[1]
+        assert "7 is not a valid HRESP" in interpreted[1]
+        assert interpreted[3]["cycles"] == 101
+        assert self._observe("compiled") == interpreted
+
+        from repro.compiled.monitor_batch import MonitorBatch
+
+        def _overflow(self, arr):
+            raise OverflowError("forced: exercise the scalar step")
+
+        monkeypatch.setattr(MonitorBatch, "_flush_np", _overflow)
+        assert self._observe("compiled") == interpreted
+
+
 hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings  # noqa: E402

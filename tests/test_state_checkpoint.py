@@ -18,7 +18,7 @@ from repro.kernel import StateError, us
 from repro.replay import campaign_spec, execute
 from repro.replay.verify import compare_streams, verify_digests
 from repro.state import CheckpointPlan, CheckpointStore
-from repro.workloads import build_scenario
+from repro.workloads import build_paper_testbench, build_scenario
 
 SCENARIO = "portable-audio-player"
 
@@ -111,6 +111,43 @@ class TestStoreResume:
                             resume=True)
         # resumed execution only simulated the last microsecond
         assert system.sim.now == us(3)
+
+
+class TestMonitorStyleRoundTrip:
+    """The local and private monitor styles checkpoint exactly too.
+
+    The private style's watcher closures hold its pending-energy dict,
+    so restoring must refill that dict in place: a rebound dict would
+    leave the watchers charging the old one and lose energy."""
+
+    @staticmethod
+    def build(style, table):
+        reset_txn_ids()
+        return build_paper_testbench(seed=5, checker=False,
+                                     monitor_style=style,
+                                     instruction_energies=table)
+
+    @pytest.mark.parametrize("style", ["local", "private"])
+    def test_restored_run_matches_straight_run(self, style):
+        reference = self.build("global", None)
+        reference.run(us(2))
+        table = {name: stats.average_energy
+                 for name, stats in reference.ledger.instructions.items()}
+        if style == "private":
+            table = None
+
+        straight = self.build(style, table)
+        straight.run(us(6))
+
+        donor = self.build(style, table)
+        donor.run(us(3))
+        snap = donor.snapshot()
+        resumed = self.build(style, table)
+        resumed.restore(snap)
+        resumed.run(us(3))
+
+        assert resumed.ledger.state_dict() == straight.ledger.state_dict()
+        assert resumed.snapshot().digest == straight.snapshot().digest
 
 
 class _TimeBomb:
