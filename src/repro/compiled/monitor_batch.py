@@ -1,14 +1,20 @@
 """Batched replay of the :class:`GlobalPowerMonitor` hot path.
 
-The monitor's per-cycle method (activity sampling, four macromodel
+The monitor's per-cycle step (activity sampling, four macromodel
 evaluations, FSM step, ledger charge) dominates interpreted runtime.
 In compiled mode the engine replaces the monitor's slot in the emitted
-rising-edge function with a *recorder* that appends one tuple of raw
-committed signal values per cycle; :meth:`MonitorBatch.flush` then
-replays the accumulated cycles in one pass before control returns to
-the caller.
+rising-edge function with a *recorder* that appends one row of raw
+committed signal values per cycle, in the monitor's own
+:attr:`~GlobalPowerMonitor.columns` layout; :meth:`MonitorBatch.flush`
+then replays the accumulated cycles in one pass before control returns
+to the caller.
 
-Bit-identity is the contract, not an aspiration:
+:meth:`GlobalPowerMonitor._step` is the one scalar reference for a
+cycle: the live monitor runs it on every clock edge, and the replay
+falls back to it row by row.  The NumPy replay here is the only other
+copy of that arithmetic, kept because it is the compiled engine's
+fast path.  Bit-identity with the scalar step is the contract, not an
+aspiration:
 
 * integer work (Hamming distances via ``np.bitwise_count``, ones
   counts, mode classification) is vectorized — integers are exact;
@@ -24,9 +30,8 @@ Bit-identity is the contract, not an aspiration:
   (corrupted ``HRESP``/``HTRANS`` codes, an out-of-range bus owner)
   are never batched: the recorder flushes and runs the live monitor so
   the error — and the torn state it leaves — is byte-identical;
-* values NumPy cannot hold (beyond int64) make the replay fall back to
-  :meth:`_flush_py`, a pure-Python replay that calls the very same
-  model methods the live monitor calls.
+* values NumPy cannot hold (beyond int64) make the replay call
+  ``_step`` for each recorded row instead.
 """
 
 from __future__ import annotations
@@ -57,23 +62,30 @@ _MAX_NP_WIDTH = 62
 _FLUSH_ROWS = 4096
 
 
+def _previous(values, first):
+    """*values* delayed by one cycle, led by *first* — the value stored
+    before the batch (OverflowError when it exceeds int64)."""
+    prev = _np.empty_like(values)
+    prev[0] = first
+    prev[1:] = values[:-1]
+    return prev
+
+
 def batchable(monitor):
     """Static eligibility: can *monitor* be batch-replayed at all?
 
-    Requires the stock :class:`GlobalPowerMonitor` (exact type — a
-    subclass may override anything), the paper's four-block
+    Requires NumPy, the stock :class:`GlobalPowerMonitor` (exact type —
+    a subclass may override anything), the paper's four-block
     configuration (no clock tree / clock gating), non-negative model
     coefficients (so the ledger's negative-energy guard can never
     fire) and signal widths an int64 can mask.
     """
-    if type(monitor) is not GlobalPowerMonitor:
+    if _np is None or type(monitor) is not GlobalPowerMonitor:
         return False
     if monitor._clock_tree_energy is not None or \
             monitor.clock_gate is not None:
         return False
-    signals = (monitor._m2s_out.signals + monitor._s2m_out.signals
-               + monitor._arb_in.signals)
-    if any(signal.width > _MAX_NP_WIDTH for signal in signals):
+    if any(signal.width > _MAX_NP_WIDTH for signal in monitor.columns):
         return False
     m2s, s2m = monitor.m2s_model, monitor.s2m_model
     dec, arb = monitor.decoder_model, monitor.arbiter_model
@@ -99,17 +111,7 @@ class MonitorBatch:
         if not batchable(monitor):
             raise ValueError("monitor %r is not batchable" % monitor.name)
         self.monitor = monitor
-        bus = monitor.bus
         self._rows = []
-        # Column layout: the three activity groups' signals in their
-        # sample order, then owner / pending grant / data-phase select.
-        self.columns = (monitor._m2s_out.signals
-                        + monitor._s2m_out.signals
-                        + monitor._arb_in.signals
-                        + (bus.hmaster, bus.arbiter._grant_idx,
-                           bus.s2m_mux.dsel))
-        self._n_m2s = len(monitor._m2s_out.signals)
-        self._n_s2m = len(monitor._s2m_out.signals)
         self.recorder = self._make_recorder()
 
     # -- recording -----------------------------------------------------
@@ -124,7 +126,7 @@ class MonitorBatch:
         to it instead, after flushing, so failure behaviour is exact.
         """
         monitor = self.monitor
-        bus = monitor.bus
+        columns = monitor.columns
         names = []
         namespace = {
             "_append": self._rows.append,
@@ -134,11 +136,11 @@ class MonitorBatch:
             "_live": monitor._on_clk,
             "_nm": len(monitor.master_energy),
         }
-        for index, signal in enumerate(self.columns):
+        for index, signal in enumerate(columns):
             namespace["_s%d" % index] = signal
-        resp_index = self._n_m2s + 1          # hresp within s2m group
-        owner_index = len(self.columns) - 3   # bus.hmaster
-        for index in range(len(self.columns)):
+        resp_index = monitor._s2m_col + 1     # hresp within s2m group
+        owner_index = monitor._owner_col      # bus.hmaster
+        for index in range(len(columns)):
             if index == 0:
                 names.append("_vt")
             elif index == resp_index:
@@ -178,21 +180,17 @@ class MonitorBatch:
         rows = self._rows
         if not rows:
             return
-        if _np is not None:
-            try:
-                arr = _np.array(rows, dtype=_np.int64)
-            except OverflowError:
-                arr = None
-            if arr is not None:
-                try:
-                    self._flush_np(arr)
-                except OverflowError:
-                    # a stored previous value beyond int64; nothing
-                    # was mutated yet (the numpy phase is pure)
-                    self._flush_py(rows)
-                rows.clear()
-                return
-        self._flush_py(rows)
+        try:
+            self._flush_np(_np.array(rows, dtype=_np.int64))
+        except OverflowError:
+            # A recorded or stored value beyond int64; the numpy phase
+            # is pure until every conversion succeeded, so nothing was
+            # mutated.  Replay through the monitor's own step instead.
+            # Batched cycles carry no time stamp: batching runs only
+            # when no sink consumes one (see CompiledEngine).
+            step = self.monitor._step
+            for row in rows:
+                step(row, 0)
         rows.clear()
 
     # -- numpy replay --------------------------------------------------
@@ -210,9 +208,7 @@ class MonitorBatch:
         lasts = []
         for offset, signal in enumerate(activity.signals):
             values = cols[base + offset]
-            prev = _np.empty_like(values)
-            prev[0] = activity._stored[signal]     # may overflow int64
-            prev[1:] = values[:-1]
+            prev = _previous(values, activity._stored[signal])
             mask = (1 << signal.width) - 1
             hd = _np.bitwise_count((prev ^ values) & mask) \
                 .astype(_np.int64)
@@ -223,59 +219,40 @@ class MonitorBatch:
             lasts.append(int(values[-1]))
         return total, hds, ones, lasts
 
-    def _apply_activity(self, activity, result, count):
-        _, hds, ones, lasts = result
-        changes = 0
-        for offset, signal in enumerate(activity.signals):
-            activity._stored[signal] = lasts[offset]
-            activity._transitions_per_signal[signal] += hds[offset]
-            activity._ones_accumulator[signal] += ones[offset]
-            changes += hds[offset]
-        activity._bit_changes += changes
-        activity.samples_taken += count
-
     def _flush_np(self, arr):
         monitor = self.monitor
         count = arr.shape[0]
         cols = arr.T
-        n_m2s, n_s2m = self._n_m2s, self._n_s2m
-        owner_col = len(self.columns) - 3
+        s2m_col, arb_col = monitor._s2m_col, monitor._arb_col
+        owner_col = monitor._owner_col
 
         # ---- pure compute phase (exact integers) ----
         m2s = self._activity_np(monitor._m2s_out, cols, 0, count)
-        s2m = self._activity_np(monitor._s2m_out, cols, n_m2s, count)
-        arb = self._activity_np(monitor._arb_in, cols, n_m2s + n_s2m,
-                                count)
+        s2m = self._activity_np(monitor._s2m_out, cols, s2m_col, count)
+        arb = self._activity_np(monitor._arb_in, cols, arb_col, count)
 
         htrans = cols[0]
         haddr = cols[1]
         hwrite = cols[2]
-        hresp = cols[n_m2s + 1]
+        hresp = cols[s2m_col + 1]
         owner = cols[owner_col]
         grant = cols[owner_col + 1]
         dsel = cols[owner_col + 2]
 
-        prev_owner = _np.empty_like(owner)
-        prev_owner[0] = monitor._prev_owner        # may overflow int64
-        prev_owner[1:] = owner[:-1]
-        handover = owner != prev_owner
+        handover = owner != _previous(owner, monitor._prev_owner)
         parked = owner == monitor.bus.config.default_master
         ho_flag = handover | (grant != owner) | parked
 
         shift = monitor._decoder_shift
-        prev_haddr = _np.empty_like(haddr)
-        prev_haddr[0] = monitor._prev_haddr        # may overflow int64
-        prev_haddr[1:] = haddr[:-1]
+        prev_haddr = _previous(haddr, monitor._prev_haddr)
         dec_mask = (1 << monitor.decoder_model.n_inputs) - 1
         hd_dec = _np.bitwise_count(
             ((prev_haddr >> shift) ^ (haddr >> shift)) & dec_mask
         ).astype(_np.int64)
 
-        prev_dsel = _np.empty_like(dsel)
-        prev_dsel[0] = monitor._prev_dsel          # may overflow int64
-        prev_dsel[1:] = dsel[:-1]
-        hd_dsel = _np.bitwise_count((prev_dsel ^ dsel) & 0xFF) \
-            .astype(_np.int64)
+        hd_dsel = _np.bitwise_count(
+            (_previous(dsel, monitor._prev_dsel) ^ dsel) & 0xFF
+        ).astype(_np.int64)
 
         transfer = (htrans == 2) | (htrans == 3)
         writes = transfer & (hwrite != 0)
@@ -309,9 +286,10 @@ class MonitorBatch:
             e_arb)
 
         # ---- apply integer state (order-independent sums) ----
-        self._apply_activity(monitor._m2s_out, m2s, count)
-        self._apply_activity(monitor._s2m_out, s2m, count)
-        self._apply_activity(monitor._arb_in, arb, count)
+        for activity, (_, hds, ones, lasts) in (
+                (monitor._m2s_out, m2s), (monitor._s2m_out, s2m),
+                (monitor._arb_in, arb)):
+            activity.record_batch(lasts, hds, ones, count)
         monitor.decode_hd_total += int(hd_dec.sum())
         monitor.decode_change_count += int(_np.count_nonzero(hd_dec))
         monitor.dsel_hd_total += int(hd_dsel.sum())
@@ -399,93 +377,3 @@ class MonitorBatch:
             ledger.response_energy[_RESP_NAMES[resp]] = resp_by_code[resp]
         fsm.state = _MODES[prev]
         fsm.cycles += count
-
-    # -- pure-Python replay (reference / fallback) ---------------------
-
-    def _flush_py(self, rows):
-        """Replay *rows* without NumPy.
-
-        This is the reference implementation: it performs the exact
-        statements of :meth:`GlobalPowerMonitor._on_clk`, reading the
-        recorded values instead of live signals and calling the very
-        same model/FSM methods, so it is bit-identical by construction.
-        It is also the fallback when values exceed int64.
-        """
-        from ..power.hamming import hamming
-        from ..power.instructions import classify_mode
-        from ..power.ledger import (BLOCK_ARB, BLOCK_DEC, BLOCK_M2S,
-                                    BLOCK_S2M)
-
-        monitor = self.monitor
-        bus = monitor.bus
-        n_m2s, n_s2m = self._n_m2s, self._n_s2m
-        owner_col = len(self.columns) - 3
-        groups = ((monitor._m2s_out, 0), (monitor._s2m_out, n_m2s),
-                  (monitor._arb_in, n_m2s + n_s2m))
-        for row in rows:
-            totals = []
-            for activity, base in groups:
-                group_total = 0
-                stored = activity._stored
-                for offset, signal in enumerate(activity.signals):
-                    new = row[base + offset]
-                    old = stored[signal]
-                    distance = 0 if new == old else \
-                        hamming(old, new, width=signal.width)
-                    stored[signal] = new
-                    activity._transitions_per_signal[signal] += distance
-                    activity._ones_accumulator[signal] += bin(
-                        new & ((1 << signal.width) - 1)).count("1")
-                    group_total += distance
-                activity._bit_changes += group_total
-                activity.samples_taken += 1
-                totals.append(group_total)
-            m2s_total, s2m_total, arb_total = totals
-
-            owner = row[owner_col]
-            handover_done = owner != monitor._prev_owner
-            grant_pending = row[owner_col + 1] != owner
-            parked = owner == bus.config.default_master
-            monitor._prev_owner = owner
-
-            haddr = row[1]
-            hd_decode = hamming(
-                monitor._prev_haddr >> monitor._decoder_shift,
-                haddr >> monitor._decoder_shift,
-                width=monitor.decoder_model.n_inputs)
-            monitor._prev_haddr = haddr
-
-            dsel = row[owner_col + 2]
-            hd_dsel = hamming(monitor._prev_dsel, dsel, width=8)
-            monitor._prev_dsel = dsel
-
-            hd_owner_code = 1 if handover_done else 0
-            monitor.decode_hd_total += hd_decode
-            if hd_decode:
-                monitor.decode_change_count += 1
-            monitor.dsel_hd_total += hd_dsel
-            if handover_done:
-                monitor.handover_total += 1
-            htrans = row[0]
-            if htrans in (2, 3):
-                monitor.transfer_cycles += 1
-                if row[2]:
-                    monitor.write_cycles += 1
-
-            energies = {
-                BLOCK_M2S: monitor.m2s_model.energy(
-                    hd_in=m2s_total, hd_sel=hd_owner_code,
-                    hd_out=m2s_total),
-                BLOCK_S2M: monitor.s2m_model.energy(
-                    hd_in=s2m_total, hd_sel=hd_dsel,
-                    hd_out=s2m_total),
-                BLOCK_DEC: monitor.decoder_model.energy(hd_decode),
-                BLOCK_ARB: monitor.arbiter_model.energy(
-                    arb_total, handover_done),
-            }
-            mode = classify_mode(
-                htrans, row[2],
-                handover=handover_done or grant_pending or parked)
-            monitor.fsm.step(0, mode, energies,
-                             response=_RESP_NAMES[row[n_m2s + 1]])
-            monitor.master_energy[owner] += sum(energies.values())

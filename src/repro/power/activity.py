@@ -53,6 +53,8 @@ class Activity:
     def __init__(self, name, signals):
         self.name = name
         self.signals = tuple(signals)
+        self._masks = tuple((1 << signal.width) - 1
+                            for signal in self.signals)
         self._stored = {signal: signal.value for signal in self.signals}
         self._bit_changes = 0
         self._transitions_per_signal = {signal: 0
@@ -83,25 +85,42 @@ class Activity:
         """Measure HD of each signal against the stored values, update
         statistics, and store the new values.  Returns an
         :class:`ActivitySample`."""
-        per_signal = {}
+        distances = self.record([signal.value for signal in self.signals])
+        return ActivitySample(dict(zip(self.signals, distances)))
+
+    def record(self, values):
+        """Fold one sample of *values* (one per signal, in
+        :attr:`signals` order) into the statistics and store them as
+        the new reference.  Returns the per-signal Hamming distances."""
         stored = self._stored
-        for signal in self.signals:
-            new = signal.value
+        transitions = self._transitions_per_signal
+        ones = self._ones_accumulator
+        distances = []
+        for signal, mask, new in zip(self.signals, self._masks, values):
             old = stored[signal]
             if new == old:
                 distance = 0
             else:
                 distance = hamming(old, new, width=signal.width)
-            per_signal[signal] = distance
+                transitions[signal] += distance
+            distances.append(distance)
             stored[signal] = new
-            self._transitions_per_signal[signal] += distance
-            self._ones_accumulator[signal] += bin(
-                new & ((1 << signal.width) - 1)
-            ).count("1")
-        sample = ActivitySample(per_signal)
-        self._bit_changes += sample.total
+            ones[signal] += bin(new & mask).count("1")
+        self._bit_changes += sum(distances)
         self.samples_taken += 1
-        return sample
+        return distances
+
+    def record_batch(self, lasts, transitions, ones, count):
+        """Fold *count* samples summarised per signal: the last value,
+        the summed Hamming distances and the summed ones counts (the
+        compiled engine's batched monitor replay)."""
+        for signal, last, hd, n_ones in zip(self.signals, lasts,
+                                            transitions, ones):
+            self._stored[signal] = last
+            self._transitions_per_signal[signal] += hd
+            self._ones_accumulator[signal] += n_ones
+        self._bit_changes += sum(transitions)
+        self.samples_taken += count
 
     # -- statistics -------------------------------------------------------------
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 
+from .ledger import BLOCK_ARB, BLOCK_DEC, BLOCK_M2S, BLOCK_S2M
 from .parameters import PAPER_TECHNOLOGY
 
 
@@ -199,6 +200,38 @@ class ArbiterEnergyModel:
 
     def __repr__(self):
         return "ArbiterEnergyModel(n_masters=%d)" % self.n_masters
+
+
+def bus_macromodels(config, params):
+    """The four sub-block macromodels of a bus with *config*: the M2S
+    and S2M multiplexers, the decoder and the arbiter."""
+    n_slaves_total = config.n_slaves + 1  # incl. default slave
+    return (
+        MuxEnergyModel(config.n_masters,
+                       config.addr_width + config.data_width + 13, params),
+        MuxEnergyModel(n_slaves_total, config.data_width + 3, params),
+        DecoderEnergyModel(n_slaves_total, params),
+        ArbiterEnergyModel(config.n_masters, params),
+    )
+
+
+def block_energies(models, hd_m2s, hd_s2m, hd_dsel, hd_decode, hd_req,
+                   handover):
+    """One cycle's energy per sub-block, keyed M2S, S2M, DEC, ARB.
+
+    *models* holds the four macromodels as ``m2s_model``,
+    ``s2m_model``, ``decoder_model`` and ``arbiter_model``.  Both
+    multiplexers' output buses are observed (``hd_out = hd_in``); the
+    M2S select changes exactly when ownership is *handed over*.
+    """
+    return {
+        BLOCK_M2S: models.m2s_model.energy(
+            hd_in=hd_m2s, hd_sel=1 if handover else 0, hd_out=hd_m2s),
+        BLOCK_S2M: models.s2m_model.energy(
+            hd_in=hd_s2m, hd_sel=hd_dsel, hd_out=hd_s2m),
+        BLOCK_DEC: models.decoder_model.energy(hd_decode),
+        BLOCK_ARB: models.arbiter_model.energy(hd_req, handover),
+    }
 
 
 class RegisterEnergyModel:

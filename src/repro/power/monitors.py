@@ -6,7 +6,11 @@
   sensitive to the bus clock, that observes the shared bus signals,
   evaluates the sub-block macromodels every cycle and drives the
   power FSM.  This is the reference model used for all paper
-  experiments.
+  experiments.  Its per-cycle arithmetic lives in one scalar method,
+  :meth:`GlobalPowerMonitor._step`, run live on every clock edge and
+  by the compiled engine's batched replay whenever NumPy cannot hold
+  the recorded values; that replay's NumPy path
+  (:mod:`repro.compiled.monitor_batch`) is the only other copy.
 
 * :class:`LocalPowerMonitor` — "a particular process added to those
   already present in the module ... a system activity monitor".  It
@@ -20,13 +24,16 @@
   commit (event granularity, not cycle granularity) and charges
   switched capacitance per individual transition.
 
-Omitting a monitor reproduces the paper's ``POWERTEST`` compile switch:
-no instrumentation code runs at all.
+All three share the bus-mode classification, the ledger and the power
+FSM; each keeps only its energy rule.  Omitting a monitor reproduces
+the paper's ``POWERTEST`` compile switch: no instrumentation code runs
+at all.
 """
 
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 
 from ..amba.types import HRESP, HTRANS
 from ..kernel import Module
@@ -41,14 +48,21 @@ from .ledger import (
     EnergyLedger,
     PAPER_BLOCKS,
 )
-from .macromodels import (
-    ArbiterEnergyModel,
-    DecoderEnergyModel,
-    MuxEnergyModel,
-)
+from .macromodels import block_energies, bus_macromodels
 from .parameters import PAPER_TECHNOLOGY
 from .power_fsm import PowerFsm
 from .power_trace import TraceSet
+
+#: Reads a signal's committed value (the row the global step takes).
+_VALUE = attrgetter("_value")
+
+#: HTRANS codes of a data-transfer cycle.
+_TRANSFERS = (int(HTRANS.NONSEQ), int(HTRANS.SEQ))
+
+#: Bus signals driven by the M2S and by the S2M multiplexer.
+_M2S_OUT = ("htrans", "haddr", "hwrite", "hsize", "hburst", "hprot",
+            "hwdata")
+_S2M_OUT = ("hrdata", "hresp", "hready")
 
 
 def _decoder_shift(address_map):
@@ -64,7 +78,81 @@ def _decoder_shift(address_map):
     return int(math.floor(math.log2(min(sizes))))
 
 
-class GlobalPowerMonitor(Module):
+class _BusPowerMonitor(Module):
+    """What the three styles share: the bus-mode classification, the
+    ledger and power FSM, and the per-cycle method on the bus clock.
+
+    A style supplies its energy rule: :meth:`_energies` for a style
+    that needs only the cycle's mode, or its own :meth:`_on_clk`.
+    """
+
+    def __init__(self, sim, name, bus, fsm, parent=None):
+        super().__init__(sim, name, parent=parent)
+        self.bus = bus
+        self.fsm = fsm
+        self.ledger = fsm.ledger
+        self.traces = fsm.traces
+        self._default_master = bus.config.default_master
+        self._prev_owner = bus.hmaster.value
+        self.method(self._on_clk, [bus.clk.posedge], name="monitor",
+                    initialize=False)
+
+    def _on_clk(self):
+        bus = self.bus
+        _, handover = self._handover(bus.hmaster.value,
+                                     bus.arbiter._grant_idx.value)
+        self._charge(self.sim.now, bus.htrans.value, bus.hwrite.value,
+                     handover, bus.hresp.value)
+
+    def _handover(self, owner, grant):
+        """Track bus ownership for one cycle.
+
+        Returns ``(handed_over, handover)``: whether ownership changed
+        at this cycle boundary, and whether the cycle is handover
+        territory for the mode classification.
+        """
+        handed_over = owner != self._prev_owner
+        self._prev_owner = owner
+        # A pending grant change is handover territory, and so are
+        # cycles parked on the default master: it never transfers, so
+        # the next real transfer necessarily involves a grant change
+        # (the paper's IDLE_HO periods span whole idle windows, see
+        # DESIGN.md).
+        return handed_over, (handed_over or grant != owner
+                             or owner == self._default_master)
+
+    def _charge(self, now, htrans, hwrite, handover, hresp, energies=None):
+        """Classify the cycle and step the FSM with its energies.
+
+        *energies* maps block → joules; ``None`` asks the style's
+        :meth:`_energies` rule, once the mode is known.
+        """
+        mode = classify_mode(htrans, hwrite, handover=handover)
+        if energies is None:
+            energies = self._energies(mode)
+        self.fsm.step(now, mode, energies, response=HRESP(hresp).name)
+
+    @property
+    def total_energy(self):
+        """Total accounted energy so far (joules)."""
+        return self.ledger.total_energy
+
+    # -- checkpoint support ---------------------------------------------
+
+    def state_dict(self):
+        return {
+            "prev_owner": self._prev_owner,
+            "ledger": self.ledger.state_dict(),
+            "fsm": self.fsm.state_dict(),
+        }
+
+    def load_state_dict(self, state):
+        self._prev_owner = state["prev_owner"]
+        self.ledger.load_state_dict(state["ledger"])
+        self.fsm.load_state_dict(state["fsm"])
+
+
+class GlobalPowerMonitor(_BusPowerMonitor):
     """Cycle-accurate, macromodel-driven power analysis (global style).
 
     Parameters
@@ -84,11 +172,6 @@ class GlobalPowerMonitor(Module):
                  with_traces=False, datafile=None, parent=None,
                  with_clock_tree=False, clock_tree_flops=None,
                  clock_gate=None, wake_penalty_factor=2.0):
-        super().__init__(sim, name, parent=parent)
-        self.bus = bus
-        self.params = params
-        cfg = bus.config
-
         # Optional bus-wide clock-tree block ("CLK"): the pipeline
         # registers of masters, slaves and fabric, charged every
         # ungated cycle.  Off by default so the paper's four-block
@@ -99,6 +182,14 @@ class GlobalPowerMonitor(Module):
             raise ValueError(
                 "clock gating needs with_clock_tree=True (gating only "
                 "affects the clock-tree block)")
+        traces = TraceSet(PAPER_BLOCKS + ("TOTAL",)) if with_traces else None
+        super().__init__(sim, name, bus,
+                         PowerFsm(EnergyLedger(), traces=traces,
+                                  datafile=datafile),
+                         parent=parent)
+        self.params = params
+        cfg = bus.config
+
         self.clock_gate = clock_gate
         self.wake_penalty_factor = wake_penalty_factor
         if with_clock_tree:
@@ -112,39 +203,35 @@ class GlobalPowerMonitor(Module):
             self.clock_tree_flops = 0
         self._was_gated = False
 
-        n_masters = cfg.n_masters
-        n_slaves_total = cfg.n_slaves + 1  # incl. default slave
-        m2s_width = (cfg.addr_width + cfg.data_width + 13)
-        s2m_width = cfg.data_width + 3
-
-        self.m2s_model = MuxEnergyModel(n_masters, m2s_width, params)
-        self.s2m_model = MuxEnergyModel(n_slaves_total, s2m_width, params)
-        self.decoder_model = DecoderEnergyModel(n_slaves_total, params)
-        self.arbiter_model = ArbiterEnergyModel(n_masters, params)
+        (self.m2s_model, self.s2m_model, self.decoder_model,
+         self.arbiter_model) = bus_macromodels(cfg, params)
 
         self._m2s_out = Activity(
-            "m2s_out",
-            (bus.htrans, bus.haddr, bus.hwrite, bus.hsize, bus.hburst,
-             bus.hprot, bus.hwdata),
-        )
+            "m2s_out", [getattr(bus, name) for name in _M2S_OUT])
         self._s2m_out = Activity(
-            "s2m_out", (bus.hrdata, bus.hresp, bus.hready),
-        )
+            "s2m_out", [getattr(bus, name) for name in _S2M_OUT])
         request_signals = []
         for port in bus.master_ports:
             request_signals.append(port.hbusreq)
             request_signals.append(port.hlock)
         self._arb_in = Activity("arb_in", request_signals)
 
+        #: Column layout of one cycle's committed values, the row
+        #: :meth:`_step` analyses (and the compiled engine's recorder
+        #: appends): the three activity groups' signals in their sample
+        #: order — so HTRANS, HADDR, HWRITE lead and HRESP is the second
+        #: S2M column — then owner, pending grant and data-phase select.
+        self.columns = (self._m2s_out.signals + self._s2m_out.signals
+                        + self._arb_in.signals
+                        + (bus.hmaster, bus.arbiter._grant_idx,
+                           bus.s2m_mux.dsel))
+        self._s2m_col = len(self._m2s_out.signals)
+        self._arb_col = self._s2m_col + len(self._s2m_out.signals)
+        self._owner_col = self._arb_col + len(self._arb_in.signals)
+
         self._decoder_shift = _decoder_shift(cfg.address_map)
         self._prev_haddr = bus.haddr.value
-        self._prev_owner = bus.hmaster.value
         self._prev_dsel = bus.s2m_mux.dsel.value
-
-        traces = TraceSet(PAPER_BLOCKS + ("TOTAL",)) if with_traces else None
-        self.ledger = EnergyLedger()
-        self.fsm = PowerFsm(self.ledger, traces=traces, datafile=datafile)
-        self.traces = traces
 
         # Aggregate activity counters consumed by
         # repro.power.statistical.WorkloadStatistics.from_monitor.
@@ -159,29 +246,30 @@ class GlobalPowerMonitor(Module):
         #: (the cycle's address-phase owner pays for the cycle).
         self.master_energy = [0.0] * cfg.n_masters
 
-        self.method(self._on_clk, [bus.clk.posedge], name="monitor",
-                    initialize=False)
-
     # -- per-cycle analysis ----------------------------------------------
 
     def _on_clk(self):
-        bus = self.bus
+        self._step(tuple(map(_VALUE, self.columns)), self.sim.now)
 
-        m2s_sample = self._m2s_out.sample()
-        s2m_sample = self._s2m_out.sample()
-        arb_sample = self._arb_in.sample()
+    def _step(self, row, now):
+        """Analyse one cycle: *row* holds its committed values in
+        :attr:`columns` order, *now* is its time stamp.
 
-        owner = bus.hmaster.value
-        handover_done = owner != self._prev_owner
-        grant_pending = bus.arbiter._grant_idx.value != owner
-        # Cycles parked on the default master are handover territory:
-        # the default master never transfers, so the next real transfer
-        # necessarily involves a grant change (the paper's IDLE_HO
-        # periods span whole idle windows, see DESIGN.md).
-        parked = owner == bus.config.default_master
-        self._prev_owner = owner
+        The one scalar implementation of the cycle, run live and by
+        the compiled engine's replay when its NumPy path cannot hold
+        the values.  An invalid value (bad HTRANS/HRESP code, owner out
+        of range) raises part-way, after the statements before it.
+        """
+        s2m_col, arb_col, owner_col = (self._s2m_col, self._arb_col,
+                                       self._owner_col)
+        m2s_total = sum(self._m2s_out.record(row[:s2m_col]))
+        s2m_total = sum(self._s2m_out.record(row[s2m_col:arb_col]))
+        arb_total = sum(self._arb_in.record(row[arb_col:owner_col]))
 
-        haddr = bus.haddr.value
+        owner = row[owner_col]
+        handed_over, handover = self._handover(owner, row[owner_col + 1])
+
+        haddr = row[1]
         hd_decode = hamming(
             self._prev_haddr >> self._decoder_shift,
             haddr >> self._decoder_shift,
@@ -189,48 +277,29 @@ class GlobalPowerMonitor(Module):
         )
         self._prev_haddr = haddr
 
-        dsel = bus.s2m_mux.dsel.value
+        dsel = row[owner_col + 2]
         hd_dsel = hamming(self._prev_dsel, dsel, width=8)
         self._prev_dsel = dsel
-
-        hd_owner_code = 1 if handover_done else 0
 
         self.decode_hd_total += hd_decode
         if hd_decode:
             self.decode_change_count += 1
         self.dsel_hd_total += hd_dsel
-        if handover_done:
+        if handed_over:
             self.handover_total += 1
-        if bus.htrans.value in (int(HTRANS.NONSEQ), int(HTRANS.SEQ)):
+        htrans, hwrite = row[0], row[2]
+        if htrans in _TRANSFERS:
             self.transfer_cycles += 1
-            if bus.hwrite.value:
+            if hwrite:
                 self.write_cycles += 1
 
-        energies = {
-            BLOCK_M2S: self.m2s_model.energy(
-                hd_in=m2s_sample.total,
-                hd_sel=hd_owner_code,
-                hd_out=m2s_sample.total,
-            ),
-            BLOCK_S2M: self.s2m_model.energy(
-                hd_in=s2m_sample.total,
-                hd_sel=hd_dsel,
-                hd_out=s2m_sample.total,
-            ),
-            BLOCK_DEC: self.decoder_model.energy(hd_decode),
-            BLOCK_ARB: self.arbiter_model.energy(
-                arb_sample.total, handover_done,
-            ),
-        }
+        energies = block_energies(self, m2s_total, s2m_total, hd_dsel,
+                                  hd_decode, arb_total, handed_over)
         if self._clock_tree_energy is not None:
             energies["CLK"] = self._clock_tree_cycle_energy()
 
-        mode = classify_mode(
-            bus.htrans.value, bus.hwrite.value,
-            handover=handover_done or grant_pending or parked,
-        )
-        self.fsm.step(self.sim.now, mode, energies,
-                      response=HRESP(bus.hresp.value).name)
+        self._charge(now, htrans, hwrite, handover, row[s2m_col + 1],
+                     energies)
         self.master_energy[owner] += sum(energies.values())
 
     def master_energy_shares(self):
@@ -258,11 +327,6 @@ class GlobalPowerMonitor(Module):
 
     # -- results ------------------------------------------------------------
 
-    @property
-    def total_energy(self):
-        """Total accounted energy so far (joules)."""
-        return self.ledger.total_energy
-
     def activity_summary(self):
         """Switching statistics of all monitored signal groups."""
         return {
@@ -280,10 +344,10 @@ class GlobalPowerMonitor(Module):
         NOT checkpointed — a restored run continues recording from the
         restore point; see docs/RESILIENCE.md.
         """
-        return {
+        state = super().state_dict()
+        state.update({
             "was_gated": self._was_gated,
             "prev_haddr": self._prev_haddr,
-            "prev_owner": self._prev_owner,
             "prev_dsel": self._prev_dsel,
             "decode_hd_total": self.decode_hd_total,
             "decode_change_count": self.decode_change_count,
@@ -292,17 +356,16 @@ class GlobalPowerMonitor(Module):
             "transfer_cycles": self.transfer_cycles,
             "write_cycles": self.write_cycles,
             "master_energy": list(self.master_energy),
-            "ledger": self.ledger.state_dict(),
-            "fsm": self.fsm.state_dict(),
             "m2s_out": self._m2s_out.state_dict(),
             "s2m_out": self._s2m_out.state_dict(),
             "arb_in": self._arb_in.state_dict(),
-        }
+        })
+        return state
 
     def load_state_dict(self, state):
+        super().load_state_dict(state)
         self._was_gated = state["was_gated"]
         self._prev_haddr = state["prev_haddr"]
-        self._prev_owner = state["prev_owner"]
         self._prev_dsel = state["prev_dsel"]
         self.decode_hd_total = state["decode_hd_total"]
         self.decode_change_count = state["decode_change_count"]
@@ -311,14 +374,12 @@ class GlobalPowerMonitor(Module):
         self.transfer_cycles = state["transfer_cycles"]
         self.write_cycles = state["write_cycles"]
         self.master_energy = list(state["master_energy"])
-        self.ledger.load_state_dict(state["ledger"])
-        self.fsm.load_state_dict(state["fsm"])
         self._m2s_out.load_state_dict(state["m2s_out"])
         self._s2m_out.load_state_dict(state["s2m_out"])
         self._arb_in.load_state_dict(state["arb_in"])
 
 
-class LocalPowerMonitor(Module):
+class LocalPowerMonitor(_BusPowerMonitor):
     """Instruction-table power analysis (local style).
 
     Only the activity mode is observed; each executed instruction is
@@ -331,57 +392,23 @@ class LocalPowerMonitor(Module):
 
     def __init__(self, sim, name, bus, instruction_energies,
                  default_energy=0.0, with_traces=False, parent=None):
-        super().__init__(sim, name, parent=parent)
-        self.bus = bus
+        traces = TraceSet(("BUS", "TOTAL")) if with_traces else None
+        super().__init__(sim, name, bus,
+                         PowerFsm(EnergyLedger(blocks=("BUS",)),
+                                  traces=traces),
+                         parent=parent)
         self.instruction_energies = dict(instruction_energies)
         self.default_energy = default_energy
-        self.ledger = EnergyLedger(blocks=("BUS",))
-        traces = TraceSet(("BUS", "TOTAL")) if with_traces else None
-        self.traces = traces
-        self.fsm = PowerFsm(self.ledger, traces=traces)
-        self._prev_owner = bus.hmaster.value
-        self.method(self._on_clk, [bus.clk.posedge], name="monitor",
-                    initialize=False)
 
-    def _on_clk(self):
-        bus = self.bus
-        owner = bus.hmaster.value
-        handover_done = owner != self._prev_owner
-        grant_pending = bus.arbiter._grant_idx.value != owner
-        parked = owner == bus.config.default_master
-        self._prev_owner = owner
-        mode = classify_mode(
-            bus.htrans.value, bus.hwrite.value,
-            handover=handover_done or grant_pending or parked,
-        )
+    def _energies(self, mode):
         # Peek the instruction the FSM will classify so its table
         # energy can be charged in the same step.
         name = instruction_name(self.fsm.state, mode)
-        energy = self.instruction_energies.get(name, self.default_energy)
-        self.fsm.step(self.sim.now, mode, {"BUS": energy},
-                      response=HRESP(bus.hresp.value).name)
-
-    @property
-    def total_energy(self):
-        """Total accounted energy so far (joules)."""
-        return self.ledger.total_energy
-
-    # -- checkpoint support ---------------------------------------------
-
-    def state_dict(self):
-        return {
-            "prev_owner": self._prev_owner,
-            "ledger": self.ledger.state_dict(),
-            "fsm": self.fsm.state_dict(),
-        }
-
-    def load_state_dict(self, state):
-        self._prev_owner = state["prev_owner"]
-        self.ledger.load_state_dict(state["ledger"])
-        self.fsm.load_state_dict(state["fsm"])
+        return {"BUS": self.instruction_energies.get(name,
+                                                     self.default_energy)}
 
 
-class PrivatePowerMonitor(Module):
+class PrivatePowerMonitor(_BusPowerMonitor):
     """Event-granularity power analysis (private style).
 
     Watches every individual signal commit on the sub-block interfaces
@@ -394,14 +421,11 @@ class PrivatePowerMonitor(Module):
 
     def __init__(self, sim, name, bus, params=PAPER_TECHNOLOGY,
                  parent=None):
-        super().__init__(sim, name, parent=parent)
-        self.bus = bus
+        super().__init__(sim, name, bus, PowerFsm(EnergyLedger()),
+                         parent=parent)
         self.params = params
         cfg = bus.config
-        self.ledger = EnergyLedger()
-        self.fsm = PowerFsm(self.ledger)
         self._pending = {block: 0.0 for block in PAPER_BLOCKS}
-        self._prev_owner = bus.hmaster.value
 
         n_slaves_total = cfg.n_slaves + 1
         m2s_depth = 1 + math.ceil(math.log2(cfg.n_masters))
@@ -409,32 +433,19 @@ class PrivatePowerMonitor(Module):
         dec_cost = (self.params.c_pd
                     * math.ceil(math.log2(n_slaves_total)))
 
-        watch_plan = [
-            (BLOCK_M2S, bus.htrans, m2s_depth),
-            (BLOCK_M2S, bus.haddr, m2s_depth),
-            (BLOCK_M2S, bus.hwrite, m2s_depth),
-            (BLOCK_M2S, bus.hsize, m2s_depth),
-            (BLOCK_M2S, bus.hburst, m2s_depth),
-            (BLOCK_M2S, bus.hprot, m2s_depth),
-            (BLOCK_M2S, bus.hwdata, m2s_depth),
-            (BLOCK_S2M, bus.hrdata, s2m_depth),
-            (BLOCK_S2M, bus.hresp, s2m_depth),
-            (BLOCK_S2M, bus.hready, s2m_depth),
-        ]
         half_cv2 = params.half_cv2
-        for block, signal, depth in watch_plan:
+        for block, names, depth in ((BLOCK_M2S, _M2S_OUT, m2s_depth),
+                                    (BLOCK_S2M, _S2M_OUT, s2m_depth)):
             per_bit = half_cv2 * (params.c_pd * depth + params.c_o)
-            signal.add_watcher(self._make_watcher(block, per_bit))
+            for name in names:
+                getattr(bus, name).add_watcher(
+                    self._make_watcher(block, per_bit))
 
-        for port in bus.slave_ports:
+        for port in bus.slave_ports + [bus.default_slave_port]:
             port.hsel.add_watcher(
                 self._make_watcher(BLOCK_DEC, half_cv2 * (dec_cost
                                                           + params.c_o))
             )
-        bus.default_slave_port.hsel.add_watcher(
-            self._make_watcher(BLOCK_DEC, half_cv2 * (dec_cost
-                                                      + params.c_o))
-        )
         for port in bus.master_ports:
             port.hgrant.add_watcher(
                 self._make_watcher(BLOCK_ARB,
@@ -443,9 +454,6 @@ class PrivatePowerMonitor(Module):
             port.hbusreq.add_watcher(
                 self._make_watcher(BLOCK_ARB, half_cv2 * params.c_pd * 2)
             )
-
-        self.method(self._on_clk, [bus.clk.posedge], name="monitor",
-                    initialize=False)
 
     def _make_watcher(self, block, per_bit_energy):
         pending = self._pending
@@ -456,48 +464,27 @@ class PrivatePowerMonitor(Module):
             )
         return watcher
 
-    def _on_clk(self):
-        bus = self.bus
-        owner = bus.hmaster.value
-        handover_done = owner != self._prev_owner
-        grant_pending = bus.arbiter._grant_idx.value != owner
-        parked = owner == bus.config.default_master
-        self._prev_owner = owner
-        mode = classify_mode(
-            bus.htrans.value, bus.hwrite.value,
-            handover=handover_done or grant_pending or parked,
-        )
+    def _energies(self, mode):
         energies = dict(self._pending)
         # Arbiter clock tree burns every cycle.
         energies[BLOCK_ARB] += (
             self.params.half_cv2 * self.params.c_clk
-            * (bus.config.n_masters + 8)
+            * (self.bus.config.n_masters + 8)
         )
         for block in self._pending:
             self._pending[block] = 0.0
-        self.fsm.step(self.sim.now, mode, energies,
-                      response=HRESP(bus.hresp.value).name)
-
-    @property
-    def total_energy(self):
-        """Total accounted energy so far (joules)."""
-        return self.ledger.total_energy
+        return energies
 
     # -- checkpoint support ---------------------------------------------
 
     def state_dict(self):
-        return {
-            "pending": dict(sorted(self._pending.items())),
-            "prev_owner": self._prev_owner,
-            "ledger": self.ledger.state_dict(),
-            "fsm": self.fsm.state_dict(),
-        }
+        state = super().state_dict()
+        state["pending"] = dict(sorted(self._pending.items()))
+        return state
 
     def load_state_dict(self, state):
+        super().load_state_dict(state)
         # The watcher closures hold a reference to the _pending dict:
         # mutate it in place, never rebind it.
         self._pending.clear()
         self._pending.update(state["pending"])
-        self._prev_owner = state["prev_owner"]
-        self.ledger.load_state_dict(state["ledger"])
-        self.fsm.load_state_dict(state["fsm"])

@@ -12,23 +12,12 @@ simulation and :class:`OfflinePowerAnalyzer` to replay it.
 
 from __future__ import annotations
 
-from ..amba.types import HTRANS
 from ..kernel import VcdTracer
 from ..kernel.vcd_reader import load_vcd
 from .hamming import hamming
 from .instructions import classify_mode
-from .ledger import (
-    BLOCK_ARB,
-    BLOCK_DEC,
-    BLOCK_M2S,
-    BLOCK_S2M,
-    EnergyLedger,
-)
-from .macromodels import (
-    ArbiterEnergyModel,
-    DecoderEnergyModel,
-    MuxEnergyModel,
-)
+from .ledger import EnergyLedger
+from .macromodels import block_energies, bus_macromodels
 from .monitors import _decoder_shift
 from .parameters import PAPER_TECHNOLOGY
 from .power_fsm import PowerFsm
@@ -44,13 +33,8 @@ def trace_bus(sim, bus, path):
     needs; returns the :class:`~repro.kernel.trace.VcdTracer` (close it
     after the run)."""
     tracer = VcdTracer(sim, path, timescale="1ps")
-    shared = dict(zip(
-        M2S_SIGNALS + S2M_SIGNALS,
-        (bus.htrans, bus.haddr, bus.hwrite, bus.hsize, bus.hburst,
-         bus.hprot, bus.hwdata, bus.hrdata, bus.hresp, bus.hready),
-    ))
-    for name, signal in shared.items():
-        tracer.trace(signal, name)
+    for name in M2S_SIGNALS + S2M_SIGNALS:
+        tracer.trace(getattr(bus, name.lower()), name)
     tracer.trace(bus.hmaster, "HMASTER")
     tracer.trace(bus.s2m_mux.dsel, "DSEL")
     for index, port in enumerate(bus.master_ports):
@@ -77,14 +61,8 @@ class OfflinePowerAnalyzer:
     def __init__(self, config, params=PAPER_TECHNOLOGY):
         self.config = config
         self.params = params
-        n_slaves_total = config.n_slaves + 1
-        self.m2s_model = MuxEnergyModel(
-            config.n_masters, config.addr_width + config.data_width + 13,
-            params)
-        self.s2m_model = MuxEnergyModel(
-            n_slaves_total, config.data_width + 3, params)
-        self.decoder_model = DecoderEnergyModel(n_slaves_total, params)
-        self.arbiter_model = ArbiterEnergyModel(config.n_masters, params)
+        (self.m2s_model, self.s2m_model, self.decoder_model,
+         self.arbiter_model) = bus_macromodels(config, params)
         self.decoder_shift = _decoder_shift(config.address_map)
 
     def _signal_widths(self):
@@ -146,15 +124,8 @@ class OfflinePowerAnalyzer:
                               width=8)
             handover = current["HMASTER"] != previous["HMASTER"]
 
-            energies = {
-                BLOCK_M2S: self.m2s_model.energy(
-                    hd_in=hd_m2s, hd_sel=1 if handover else 0,
-                    hd_out=hd_m2s),
-                BLOCK_S2M: self.s2m_model.energy(
-                    hd_in=hd_s2m, hd_sel=hd_dsel, hd_out=hd_s2m),
-                BLOCK_DEC: self.decoder_model.energy(hd_decode),
-                BLOCK_ARB: self.arbiter_model.energy(hd_req, handover),
-            }
+            energies = block_energies(self, hd_m2s, hd_s2m, hd_dsel,
+                                      hd_decode, hd_req, handover)
             mode = classify_mode(
                 current["HTRANS"], current["HWRITE"],
                 handover=handover

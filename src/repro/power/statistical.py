@@ -20,11 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ledger import BLOCK_ARB, BLOCK_DEC, BLOCK_M2S, BLOCK_S2M
-from .macromodels import (
-    ArbiterEnergyModel,
-    DecoderEnergyModel,
-    MuxEnergyModel,
-)
+from .macromodels import bus_macromodels
 from .parameters import PAPER_TECHNOLOGY
 
 
@@ -194,13 +190,7 @@ def estimate_average_power(stats, config, frequency_hz,
     decomposition the simulation ledger uses, so estimate and
     measurement are directly comparable.
     """
-    n_slaves_total = config.n_slaves + 1
-    m2s = MuxEnergyModel(config.n_masters,
-                         config.addr_width + config.data_width + 13,
-                         params)
-    s2m = MuxEnergyModel(n_slaves_total, config.data_width + 3, params)
-    decoder = DecoderEnergyModel(n_slaves_total, params)
-    arbiter = ArbiterEnergyModel(config.n_masters, params)
+    m2s, s2m, decoder, arbiter = bus_macromodels(config, params)
 
     # Expected per-cycle energies: the mux and arbiter models are
     # linear in their HD inputs; the decoder's output term keys on the

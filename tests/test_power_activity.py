@@ -127,3 +127,30 @@ class TestProperties:
             hamming(a, b, width=8)
             for a, b in zip(values, values[1:]))
         assert activity.bit_change_count() == expected
+
+    @given(st.lists(st.tuples(st.integers(0, 255),
+                              st.integers(-(2 ** 20), 2 ** 20)),
+                    min_size=1, max_size=20))
+    @settings(max_examples=30, deadline=None)
+    def test_record_batch_equals_recording_each_sample(self, vectors):
+        # The compiled replay folds a batch of samples summarised per
+        # signal; the result must equal recording them one by one.
+        from repro.power import hamming
+        _, signals = make_signals(widths=(8, 16))
+        one_by_one = Activity("grp", signals)
+        for vector in vectors:
+            one_by_one.record(vector)
+
+        batched = Activity("grp", signals)
+        previous = [0, 0]
+        transitions = [0, 0]
+        ones = [0, 0]
+        for vector in vectors:
+            for index, (signal, value) in enumerate(zip(signals, vector)):
+                mask = (1 << signal.width) - 1
+                transitions[index] += hamming(previous[index], value,
+                                              width=signal.width)
+                ones[index] += bin(value & mask).count("1")
+                previous[index] = value
+        batched.record_batch(previous, transitions, ones, len(vectors))
+        assert batched.state_dict() == one_by_one.state_dict()
