@@ -546,12 +546,11 @@ def build_parser():
              "identically on both, so a tlm survey can be confirmed "
              "cycle-accurately run for run)")
     faults_parser.add_argument(
-        "--engine", choices=("interpreted", "compiled", "auto"),
+        "--engine", choices=("interpreted", "compiled"),
         default="interpreted",
         help="kernel engine for cycle-tier runs: the delta-cycle "
-             "interpreter, the levelized compiled engine "
-             "(repro.compiled; bit-identical, faster), or auto "
-             "(compiled when the design compiles, else interpreted)")
+             "interpreter or the levelized compiled engine "
+             "(repro.compiled; bit-identical, faster)")
     faults_parser.add_argument(
         "--record", metavar="PATH",
         help="write a replay trace of every campaign run to PATH")
@@ -705,7 +704,7 @@ def build_parser():
              "prefix checkpoints (CORPUS/warmstart); corpus evolution "
              "stays bit-identical to a cold campaign")
     fuzz_parser.add_argument(
-        "--engine", choices=("interpreted", "compiled", "auto"),
+        "--engine", choices=("interpreted", "compiled"),
         default="interpreted",
         help="kernel engine stamped into seed genomes (mutation "
              "preserves it); outcomes and corpus evolution are "

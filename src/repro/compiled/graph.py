@@ -121,7 +121,7 @@ def extract_graph(sim, clocks):
     non-clock threads (dynamic sensitivity), bare-event sensitivity,
     edge sensitivity on a non-clock signal, mixed edge/level
     sensitivity, undeclared combinational write sets, or a customized
-    ``run_fn`` (e.g. a legacy profiler wrapper).
+    ``run_fn``.
     """
     clocks = list(clocks)
     if not clocks:

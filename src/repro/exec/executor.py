@@ -57,6 +57,15 @@ from .journal import CampaignJournal, JournalError, load_journal
 from .worker import execute_payload, worker_main
 
 
+def _unfinished_result(run, outcome, detail, attempts, wall_time_s,
+                       traceback=None):
+    """The result the supervisor records for a run no worker finished
+    (worker error, deadline kill, quarantine, dead worker)."""
+    return FaultRunResult(run.scenario, run.fault, outcome, detail=detail,
+                          traceback=traceback, spec=run.spec.to_dict(),
+                          attempts=attempts, wall_time_s=wall_time_s)
+
+
 def _normalize_spec(spec_dict):
     """Round-trip a journalled spec dict through
     :class:`~repro.replay.RunSpec` so additive schema fields (e.g.
@@ -496,15 +505,10 @@ class CampaignExecutor:
         elif kind == "error":
             # The execution machinery itself raised inside the worker;
             # the simulator layer would have contained a model crash.
-            result = FaultRunResult(
-                scenario=run.scenario, fault=run.fault,
-                outcome="crashed",
-                detail="worker execution error (see traceback)",
-                traceback=message[3], spec=run.spec.to_dict(),
-                attempts=attempt,
-                wall_time_s=time.monotonic() - started,
-            )
-            self._record_result(run, result)
+            self._record_result(run, _unfinished_result(
+                run, "crashed", "worker execution error (see traceback)",
+                attempt, time.monotonic() - started,
+                traceback=message[3]))
 
     def _police_workers(self):
         """Deadline, liveness and death checks on every busy worker."""
@@ -586,13 +590,8 @@ class CampaignExecutor:
             else:
                 # Without checkpoints a re-run would just repeat the
                 # deadline miss; classify it terminally.
-                result = FaultRunResult(
-                    scenario=run.scenario, fault=run.fault,
-                    outcome="timeout", detail=detail,
-                    spec=run.spec.to_dict(), attempts=attempt,
-                    wall_time_s=elapsed,
-                )
-                self._record_result(run, result)
+                self._record_result(run, _unfinished_result(
+                    run, "timeout", detail, attempt, elapsed))
         else:
             self._note_pool_failure()
             if attempt >= self.config.max_attempts:
@@ -619,25 +618,16 @@ class CampaignExecutor:
             if checkpoint_dir:
                 record["checkpoint"] = checkpoint_dir
             self._append_journal(record)
-            result = FaultRunResult(
-                scenario=run.scenario, fault=run.fault,
-                outcome="quarantined",
-                detail="killed its worker %d time(s); RunSpec written "
-                       "to %s%s" % (attempts, artefact,
-                                    " — " + detail if detail else ""),
-                spec=run.spec.to_dict(), attempts=attempts,
-                wall_time_s=wall_time_s,
-            )
+            outcome = "quarantined"
+            detail = ("killed its worker %d time(s); RunSpec written "
+                      "to %s%s" % (attempts, artefact,
+                                   " — " + detail if detail else ""))
         else:
-            result = FaultRunResult(
-                scenario=run.scenario, fault=run.fault,
-                outcome="worker-crashed",
-                detail=detail or "worker died %d time(s); retries "
-                                 "exhausted" % attempts,
-                spec=run.spec.to_dict(), attempts=attempts,
-                wall_time_s=wall_time_s,
-            )
-        self._record_result(run, result)
+            outcome = "worker-crashed"
+            detail = detail or ("worker died %d time(s); retries "
+                                "exhausted" % attempts)
+        self._record_result(run, _unfinished_result(
+            run, outcome, detail, attempts, wall_time_s))
 
     def _reclaim(self, handle):
         """Return a handle's in-flight run to the pending list (its
@@ -726,17 +716,17 @@ class CampaignExecutor:
         return True
 
     def _record_result(self, run, result):
-        self.report.results[run.run_id] = result
-        self._append_journal({"event": "result", "run": run.run_id,
-                              "result": result.to_dict()})
+        # The artefact path joins the detail before the journal write,
+        # so a resumed campaign restores the same record.
         if result.outcome == "crashed" and result.spec is not None:
             artefact = self._write_artefact(run, "crash",
                                             fingerprint=result.fingerprint)
             if artefact:
-                result.detail = (result.detail
-                                 + "; RunSpec written to %s" % artefact
-                                 if result.detail else
-                                 "RunSpec written to %s" % artefact)
+                result.detail = "; ".join(filter(None, (
+                    result.detail, "RunSpec written to %s" % artefact)))
+        self.report.results[run.run_id] = result
+        self._append_journal({"event": "result", "run": run.run_id,
+                              "result": result.to_dict()})
 
     def _write_artefact(self, run, label, fingerprint=None):
         """Dump a single-run replay trace so the failure is one

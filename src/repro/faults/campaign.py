@@ -122,42 +122,58 @@ class CampaignRun:
         return "CampaignRun(%s)" % self.run_id
 
 
-class FaultRunResult:
-    """Outcome and metrics of one (scenario, fault mode) run."""
+def _from_fingerprint(key, read=lambda value: value or 0):
+    """A result attribute read through *read* from field *key* of the
+    run's fingerprint (absent if the run never produced one).
+    Assigning the attribute rewrites that field."""
 
-    def __init__(self, scenario, fault, outcome, completed=0, failed=0,
-                 aborted=0, watchdog_events=0, recoveries=0,
-                 violations=0, rules_tripped=(),
-                 recovery_compliant=True, total_energy=0.0,
-                 overhead_energy=0.0, energy_per_txn=0.0,
-                 baseline_energy_per_txn=0.0, detail="",
+    def set_(result, value):
+        result.fingerprint = dict(result.fingerprint or {}, **{key: value})
+
+    return property(
+        lambda result: read((result.fingerprint or {}).get(key)), set_)
+
+
+def _from_spec(key, default):
+    """A result attribute read from field *key* of the run's spec."""
+    return property(lambda result: (result.spec or {}).get(key, default))
+
+
+class FaultRunResult:
+    """Outcome and metrics of one (scenario, fault mode) run: the
+    campaign fields plus the run's :class:`~repro.replay.RunOutcome`
+    fingerprint, from which the counters and energies are read."""
+
+    completed = _from_fingerprint("completed")
+    failed = _from_fingerprint("failed")
+    aborted = _from_fingerprint("aborted")
+    watchdog_events = _from_fingerprint("watchdog_events")
+    recoveries = _from_fingerprint("recoveries")
+    violations = _from_fingerprint("violations")
+    #: Compliance-rule ids that fired during the run, in
+    #: first-occurrence order.
+    rules_tripped = _from_fingerprint("rules_tripped",
+                                      lambda value: tuple(value or ()))
+    #: True when no *mandatory* rule fired — the injected fault and
+    #: every watchdog recovery action stayed spec-legal traffic.
+    recovery_compliant = _from_fingerprint(
+        "recovery_compliant", lambda value: value is None or bool(value))
+    total_energy = _from_fingerprint("total_energy_j",
+                                     lambda value: value or 0.0)
+    overhead_energy = _from_fingerprint("overhead_energy_j",
+                                        lambda value: value or 0.0)
+    #: Execution tier the run used (``"cycle"`` or ``"tlm"``).
+    tier = _from_spec("tier", "cycle")
+    #: Kernel engine a cycle-tier run requested.
+    engine = _from_spec("engine", "interpreted")
+
+    def __init__(self, scenario, fault, outcome, detail="",
                  traceback=None, spec=None, fingerprint=None,
                  attempts=1, wall_time_s=0.0, metrics=None,
-                 coverage=None, tier="cycle", engine="interpreted"):
+                 coverage=None, baseline_energy_per_txn=0.0):
         self.scenario = scenario
         self.fault = fault
         self.outcome = outcome
-        #: Execution tier the run used (``"cycle"`` or ``"tlm"``).
-        self.tier = tier
-        #: Kernel engine a cycle-tier run requested (``"interpreted"``,
-        #: ``"compiled"`` or ``"auto"``); bit-identical either way.
-        self.engine = engine
-        self.completed = completed
-        self.failed = failed
-        self.aborted = aborted
-        self.watchdog_events = watchdog_events
-        self.recoveries = recoveries
-        self.violations = violations
-        #: Compliance-rule ids that fired during the run, in
-        #: first-occurrence order.
-        self.rules_tripped = tuple(rules_tripped)
-        #: True when no *mandatory* rule fired — the injected fault and
-        #: every watchdog recovery action stayed spec-legal traffic.
-        self.recovery_compliant = recovery_compliant
-        self.total_energy = total_energy
-        self.overhead_energy = overhead_energy
-        self.energy_per_txn = energy_per_txn
-        self.baseline_energy_per_txn = baseline_energy_per_txn
         self.detail = detail
         #: Full traceback of a ``crashed`` run (None otherwise).
         self.traceback = traceback
@@ -180,11 +196,19 @@ class FaultRunResult:
         #: :mod:`repro.fuzz.coverage`); None unless the run executed
         #: with coverage collection enabled.
         self.coverage = list(coverage) if coverage is not None else None
+        #: Set by the campaign assembly from the fault-free run.
+        self.baseline_energy_per_txn = baseline_energy_per_txn
 
     @property
     def run_id(self):
         """Stable campaign-wide identity of this cell."""
         return "%s/%s" % (self.scenario, self.fault)
+
+    @property
+    def energy_per_txn(self):
+        """Total energy per successfully completed transaction."""
+        ok_txns = self.completed - self.failed
+        return self.total_energy / ok_txns if ok_txns else 0.0
 
     @property
     def energy_overhead_ratio(self):
@@ -226,26 +250,18 @@ class FaultRunResult:
     @classmethod
     def from_dict(cls, data):
         """Rebuild a result from :meth:`to_dict` output (journal
-        resume path).  Unknown keys are ignored for forward
-        compatibility."""
-        renames = {
-            "total_energy_j": "total_energy",
-            "overhead_energy_j": "overhead_energy",
-            "energy_per_txn_j": "energy_per_txn",
-            "baseline_energy_per_txn_j": "baseline_energy_per_txn",
-        }
-        known = ("scenario", "fault", "tier", "engine", "outcome",
-                 "completed",
-                 "failed", "aborted", "watchdog_events", "recoveries",
-                 "violations", "rules_tripped", "recovery_compliant",
-                 "detail", "traceback", "spec", "fingerprint",
-                 "attempts", "wall_time_s", "metrics", "coverage")
-        kwargs = {}
-        for key, value in data.items():
-            key = renames.get(key, key)
-            if key in known or key in renames.values():
-                kwargs[key] = value
-        return cls(**kwargs)
+        resume path); derived keys are read from the fingerprint."""
+        return cls(
+            data["scenario"], data["fault"], data["outcome"],
+            detail=data.get("detail", ""),
+            traceback=data.get("traceback"), spec=data.get("spec"),
+            fingerprint=data.get("fingerprint"),
+            attempts=data.get("attempts", 1),
+            wall_time_s=data.get("wall_time_s", 0.0),
+            metrics=data.get("metrics"), coverage=data.get("coverage"),
+            baseline_energy_per_txn=data.get(
+                "baseline_energy_per_txn_j", 0.0),
+        )
 
     def __repr__(self):
         return "FaultRunResult(%s/%s: %s)" % (
@@ -371,31 +387,13 @@ def result_from_execution(scenario, fault, system, outcome, spec=None,
     """Condense one executed ``(system, RunOutcome)`` pair into a
     :class:`FaultRunResult` (``baseline_energy_per_txn`` is filled in
     by the campaign assembly once the scenario baseline is known)."""
-    ok_txns = (outcome.completed or 0) - (outcome.failed or 0)
-    total_energy = outcome.total_energy_j or 0.0
-    energy_per_txn = total_energy / ok_txns if ok_txns else 0.0
     watchdog = system.watchdog if system is not None else None
     detail = outcome.detail or "; ".join(
         event.rule for event in (watchdog.events if watchdog else [])[:4]
     )
     return FaultRunResult(
-        scenario=scenario, fault=fault, outcome=outcome.outcome,
-        tier=getattr(spec, "tier", "cycle") if spec is not None
-        else "cycle",
-        engine=getattr(spec, "engine", "interpreted")
-        if spec is not None else "interpreted",
-        completed=outcome.completed or 0, failed=outcome.failed or 0,
-        aborted=outcome.aborted or 0,
-        watchdog_events=outcome.watchdog_events or 0,
-        recoveries=outcome.recoveries or 0,
-        violations=outcome.violations or 0,
-        rules_tripped=tuple(outcome.rules_tripped or ()),
-        recovery_compliant=bool(outcome.recovery_compliant),
-        total_energy=total_energy,
-        overhead_energy=outcome.overhead_energy_j or 0.0,
-        energy_per_txn=energy_per_txn,
-        detail=detail,
-        traceback=getattr(outcome, "traceback_text", None),
+        scenario, fault, outcome.outcome, detail=detail,
+        traceback=outcome.traceback_text,
         spec=spec.to_dict() if spec is not None else None,
         fingerprint=outcome.fingerprint(),
         attempts=attempts, wall_time_s=wall_time_s,
@@ -484,11 +482,10 @@ def run_fault_campaign(scenarios=("portable-audio-player",
         surveyed fast at transaction level and confirmed
         cycle-accurately.
     engine:
-        Kernel engine for cycle-tier runs (``"interpreted"``,
-        ``"compiled"`` or ``"auto"`` — see
-        :class:`repro.replay.RunSpec.ENGINES`).  Both engines produce
-        bit-identical trajectories; the journal records the engine so
-        resumed campaigns stay self-describing.
+        Kernel engine for cycle-tier runs (``"interpreted"`` or
+        ``"compiled"`` — see :class:`repro.replay.RunSpec.ENGINES`).
+        Both engines produce bit-identical trajectories; the journal
+        records the engine so resumed campaigns stay self-describing.
     jobs, timeout, journal, resume:
         Supervised-executor knobs (see :mod:`repro.exec`): worker
         process count (1 = in-process serial), per-run wall-clock

@@ -34,7 +34,6 @@ from .faults import (
 from .module import Module
 from .signal import Signal
 from .simulator import Simulator
-from .stats import ProcessProfile, SimulationProfiler
 from .trace import VcdTracer
 from .vcd_reader import VcdFile, VcdParseError, VcdSignal, load_vcd, read_vcd
 from .time import (
@@ -71,8 +70,6 @@ __all__ = [
     "SignalFault",
     "StuckAtFault",
     "ProcessError",
-    "ProcessProfile",
-    "SimulationProfiler",
     "Signal",
     "SimulationError",
     "Simulator",

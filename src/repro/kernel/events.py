@@ -99,8 +99,9 @@ class Process:
     """Common bookkeeping shared by method and thread processes.
 
     ``run_fn`` is the callable the scheduler dispatches; it defaults to
-    the process's own ``_run`` and exists as an instance slot so tools
-    (e.g. :class:`~repro.kernel.stats.SimulationProfiler`) can wrap it.
+    the process's own ``_run``.  Time activations with a kernel
+    observer (:meth:`Simulator.attach_observer`) rather than by
+    replacing it: the compiled engine declines a replaced ``run_fn``.
     """
 
     __slots__ = ("sim", "name", "terminated", "run_fn")

@@ -123,11 +123,10 @@ class RunSpec:
     #: Kernel engines a cycle-tier spec may request.  ``interpreted``
     #: is the delta-cycle kernel; ``compiled`` requires
     #: :mod:`repro.compiled` to accept the design (a
-    #: ``CompileError`` becomes a ``crashed`` outcome); ``auto`` tries
-    #: the compiled engine and silently falls back on ``CompileError``.
-    #: Either engine produces the bit-identical trajectory, so the
-    #: fingerprint contract is engine-independent.
-    ENGINES = ("interpreted", "compiled", "auto")
+    #: ``CompileError`` becomes a ``crashed`` outcome).  Either engine
+    #: produces the bit-identical trajectory, so the fingerprint
+    #: contract is engine-independent.
+    ENGINES = ("interpreted", "compiled")
 
     def __init__(self, scenario, seed=1, duration_us=20.0, faults=(),
                  retry_limit=8, retry_backoff=2, watchdog=True,
@@ -192,8 +191,13 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(**{key: value for key, value in data.items()
-                      if key in cls.__slots__})
+        fields = {key: value for key, value in data.items()
+                  if key in cls.__slots__}
+        if fields.get("engine") == "auto":
+            # Legacy engine: compiled unless the design did not
+            # compile, and every scenario compiles.
+            fields["engine"] = "compiled"
+        return cls(**fields)
 
     def __repr__(self):
         return "RunSpec(%s, seed=%d, %.1fus, faults=[%s])" % (
@@ -418,19 +422,15 @@ def execute(spec, wall_clock_budget=None, instrument=None,
             system.sim.register_state("fault_injector", injector)
         if instrument is not None:
             instrument(system)
-        if spec.engine != "interpreted":
+        if spec.engine == "compiled":
             # Engine selection is additive: the compiled engine wraps
             # ``sim.run`` and reproduces the interpreted trajectory
             # bit-exactly (declining back to the interpreted loop when
             # a run uses features it does not model), so the outcome
             # fingerprint and digest stream are engine-independent.
-            from ..compiled import CompileError, compile_system
-            try:
-                compile_system(system)
-            except CompileError:
-                if spec.engine == "compiled":
-                    raise    # contained below as a ``crashed`` outcome
-                # engine == "auto": run interpreted
+            # A ``CompileError`` is contained below as ``crashed``.
+            from ..compiled import compile_system
+            compile_system(system)
         if checkpoint is None:
             if warm_start is not None:
                 _run_warm(system, warm_start, us(spec.duration_us),

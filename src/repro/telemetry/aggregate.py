@@ -48,8 +48,7 @@ def record_run_metrics(registry, result):
     registry.counter(
         "campaign_tier_runs_total", "Campaign runs by execution tier",
         labelnames=_RUN_LABELS + ("tier",),
-    ).labels(scenario=scenario, fault=fault,
-             tier=getattr(result, "tier", "cycle") or "cycle").inc()
+    ).labels(scenario=scenario, fault=fault, tier=result.tier).inc()
     for metric, help_text, value in (
         ("campaign_txns_completed_total",
          "Transactions completed", result.completed),
@@ -71,18 +70,18 @@ def record_run_metrics(registry, result):
     ):
         registry.counter(metric, help_text, labelnames=_RUN_LABELS) \
             .labels(scenario=scenario, fault=fault) \
-            .inc(max(0.0, value or 0))
+            .inc(max(0.0, value))
     registry.histogram(
         "campaign_run_energy_j", "Per-run total energy",
         labelnames=_RUN_LABELS, buckets=ENERGY_BUCKETS,
     ).labels(scenario=scenario, fault=fault) \
-        .observe(result.total_energy or 0.0)
+        .observe(result.total_energy)
     registry.histogram(
         "campaign_violations_per_run",
         "Per-run compliance violations",
         labelnames=_RUN_LABELS, buckets=COUNT_BUCKETS,
     ).labels(scenario=scenario, fault=fault) \
-        .observe(result.violations or 0)
+        .observe(result.violations)
     return registry
 
 

@@ -50,6 +50,20 @@ class TestTierSerde:
         assert cycle.seed == tlm.seed
 
 
+class TestEngineSerde:
+    def test_legacy_auto_engine_loads_as_compiled(self):
+        """A spec dict recorded when ``auto`` was an engine choice."""
+        data = campaign_spec("portable-audio-player", **QUICK).to_dict()
+        data["engine"] = "auto"
+        spec = RunSpec.from_dict(data)
+        assert spec.engine == "compiled"
+        assert spec.to_dict() == dict(data, engine="compiled")
+
+    def test_auto_engine_rejected_for_new_specs(self):
+        with pytest.raises(ValueError, match="engine"):
+            RunSpec("portable-audio-player", engine="auto")
+
+
 class TestTierDispatch:
     def test_execute_dispatches_to_tlm(self):
         spec = campaign_spec("portable-audio-player", tier="tlm",

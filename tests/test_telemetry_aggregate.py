@@ -21,7 +21,10 @@ def make_result(scenario="s", fault="f", outcome="completed", **kwargs):
                     recoveries=1, violations=3, total_energy=2e-9,
                     overhead_energy=5e-10)
     defaults.update(kwargs)
-    return FaultRunResult(scenario, fault, outcome, **defaults)
+    result = FaultRunResult(scenario, fault, outcome)
+    for name, value in defaults.items():
+        setattr(result, name, value)
+    return result
 
 
 class TestRecording:

@@ -5,8 +5,14 @@ import time
 
 import pytest
 
-from repro.kernel import Clock, MHz, Signal, Simulator, us
-from repro.telemetry import Telemetry, validate_chrome_trace
+from repro.kernel import Clock, MHz, Signal, Simulator, ns, us
+from repro.telemetry import (
+    KernelTelemetry,
+    MetricsRegistry,
+    Telemetry,
+    Tracer,
+    validate_chrome_trace,
+)
 from repro.workloads import build_paper_testbench
 
 
@@ -60,6 +66,40 @@ class TestKernelObserver:
         assert seen["processes"] >= 100
         assert seen["settles"] >= 100
         assert seen["deltas"] >= seen["settles"]
+
+    def test_detach_stops_counting_while_simulation_runs(self):
+        sim = Simulator()
+        clk = Clock.from_frequency(sim, "clk", MHz(100))
+        count = Signal(sim, "count", width=32)
+        sim.add_method(lambda: count.write(count.value + 1),
+                       [clk.posedge], initialize=False, name="counter")
+        registry = MetricsRegistry()
+        observer = KernelTelemetry(Tracer(), registry)
+
+        def activations():
+            return registry.snapshot()["counters"][
+                "sim_process_activations_total"]["series"][
+                "process=counter"]
+
+        sim.attach_observer(observer)
+        sim.run(until=ns(100))
+        sim.detach_observer(observer)
+        assert activations() == 10
+        sim.run(until=ns(200))
+        assert activations() == 10
+        assert count.value == 20  # still counting
+
+    def test_power_monitor_among_costliest_processes(self):
+        """Per-process kernel time singles out the power monitor on
+        the paper testbench (the mechanics behind experiment E6)."""
+        telemetry = Telemetry(trace_bus=False, trace_power=False)
+        system = build_paper_testbench(seed=1, checker=False,
+                                       telemetry=telemetry)
+        system.run(us(10))
+        seconds = telemetry.snapshot()["counters"][
+            "sim_process_seconds_total"]["series"]
+        hottest = sorted(seconds, key=seconds.get, reverse=True)[:5]
+        assert any("power_monitor" in name for name in hottest)
 
 
 class TestSystemInstrumentation:
