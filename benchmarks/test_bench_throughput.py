@@ -98,8 +98,9 @@ def test_gate_level_vector_throughput(benchmark, bench_json):
     Runs the same 2000-vector sweep through the scalar per-cell
     interpreter and through :func:`repro.gatelevel.run_batch` (one
     NumPy expression per cell over the whole batch) on fresh
-    simulators, asserts the exact-integer activity counts agree, and
-    records both rates plus the speedup.
+    simulators, asserts the exact-integer activity counts and the
+    bit-identical energy ledgers agree, and records both rates plus
+    the speedup.
     """
     vectors = [
         {"d0": (17 * k) & 0xFFFFFFFF, "d1": 0, "d2": k,
@@ -132,6 +133,7 @@ def test_gate_level_vector_throughput(benchmark, bench_json):
 
     assert batch_sim.total_toggles == scalar_sim.total_toggles
     assert batch_sim.steps == scalar_sim.steps
+    assert batch_sim.total_energy == scalar_sim.total_energy
 
     count = len(vectors)
     bench_json("gate_level_vector_throughput", vectors=count,

@@ -40,7 +40,7 @@ from .synth import (
     synth_one_hot_decoder,
     synth_priority_arbiter,
 )
-from .vectorized import BatchResult, run_batch
+from .vectorized import BatchResult, bus_bits, run_batch
 
 __all__ = [
     "AND2",
@@ -72,6 +72,7 @@ __all__ = [
     "XNOR2",
     "XOR2",
     "bits_to_int",
+    "bus_bits",
     "check_combinational",
     "check_sequential",
     "decoder_input_bits",

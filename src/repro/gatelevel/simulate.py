@@ -15,6 +15,12 @@ from __future__ import annotations
 from .gates import bits_to_int, int_to_bits
 
 
+def _is_scalar(nets):
+    """True for a bare scalar input (``add_input``), which takes any
+    truthy value as 1; bus bits take the integer's binary digits."""
+    return len(nets) == 1 and "[" not in nets[0].name
+
+
 class StepResult:
     """Per-vector simulation outcome."""
 
@@ -53,6 +59,11 @@ class GateLevelSimulator:
         #: Per-net toggle counters keyed by net object.
         self.toggle_counts = {net: 0 for net in netlist.nets}
         self._energy_scale = 0.5 * vdd * vdd
+        #: Primary-input nets by bus name (``add_input_bus`` order,
+        #: LSB first); a scalar input is a one-net bus.
+        self._buses = {}
+        for net in netlist.inputs:
+            self._buses.setdefault(net.name.split("[")[0], []).append(net)
         # Settle the all-zero state so the first vector's toggles are
         # measured against a defined baseline.
         self._propagate(count=False)
@@ -144,21 +155,22 @@ class GateLevelSimulator:
         ``.outputs`` keyed by net.
         """
         vector = {}
-        by_name = {}
-        for net in self.netlist.inputs:
-            base = net.name.split("[")[0]
-            by_name.setdefault(base, []).append(net)
         for name, value in buses.items():
-            nets = by_name.get(name)
-            if nets is None:
-                raise KeyError("no input bus named %r" % name)
-            if len(nets) == 1 and "[" not in nets[0].name:
+            nets = self._bus_nets(name)
+            if _is_scalar(nets):
                 vector[nets[0]] = 1 if value else 0
             else:
                 bits = int_to_bits(value, len(nets))
                 for net, bit in zip(nets, bits):
                     vector[net] = bit
         return self.step(vector)
+
+    def _bus_nets(self, name):
+        """The input nets of bus *name*; ``KeyError`` if there is none."""
+        nets = self._buses.get(name)
+        if nets is None:
+            raise KeyError("no input bus named %r" % name)
+        return nets
 
     def output_int(self, prefix=None):
         """Pack the primary outputs (LSB-first) into an integer."""

@@ -9,39 +9,51 @@ of length *N* and every cell one NumPy bitwise expression, so the
 per-cell interpreter cost is paid once per *batch* instead of once per
 *vector*.
 
-Exactness contract:
+Exactness contract — the batch is the scalar ``step_ints`` sweep of
+the same vectors, bit for bit:
 
 * **toggle counts are exact integers** — a toggle is a value
   inequality between consecutive settled states, computed on the full
-  0/1 column including the simulator's carried-over state, identical
-  to the scalar sweep by construction;
-* **energies agree to float tolerance only** (``np.isclose``): the
-  scalar path accumulates ``½CV²`` charges in cell-evaluation order
-  within each step, the batched path sums per-net subtotals — float
-  addition is not associative, so the two orders differ in the last
-  ulps.  Callers that need the scalar ledger byte-for-byte must use
-  the scalar simulator;
+  0/1 column including the simulator's carried-over state;
+* **energies are bit-identical** — each ``per_vector_energy`` entry is
+  the scalar ``StepResult.energy`` of that vector.  The scalar step
+  sums input-net charges in the order the inputs were applied, sums
+  the cell-output charges in levelised order in a separate float, adds
+  the two, then charges each flip-flop's Q toggle and clock pin in
+  netlist order.  The batch adds ``½CV²`` net by net over the whole
+  column in exactly that order; a net that did not flip adds ``0.0``,
+  which changes nothing.  Input nets are charged in the order each
+  vector names its buses (a bus-column mapping names them in its key
+  order), and the simulator's ``total_energy`` is accumulated vector
+  by vector, as the scalar sweep does;
 * the simulator's end-of-batch state (``values``, ``toggle_counts``,
-  ``total_toggles``, ``steps``) is identical to the scalar sweep, so
-  scalar and batched stepping can be freely interleaved.
+  ``total_toggles``, ``steps``, ``total_energy``) is identical to the
+  scalar sweep, so scalar and batched stepping can be freely
+  interleaved.
 
-Scope: combinational netlists only (the paper's decoder and
-multiplexer blocks).  Flip-flops create a cross-vector recurrence that
-would serialize the batch, so netlists with DFFs — the arbiter FSM —
-raise :class:`ValueError`; characterise those with the scalar
-simulator.  Cell types outside the stock library evaluate through a
-per-cell ``np.frompyfunc`` fallback (correct, but without the
-vectorized fast path).
+Scope: combinational netlists (the paper's decoder and multiplexer
+blocks) and *feed-forward* flip-flops — no cell input and no flop D
+reads a flop Q, as in the synthesized arbiter with its registered
+grant.  There every Q column is its D column, and the second settle
+after the clock edge changes nothing.  A flop whose Q feeds back into
+the logic creates a cross-vector recurrence that would serialize the
+batch, so such netlists raise :class:`ValueError`; step them with the
+scalar simulator.  Cell types outside the stock library evaluate
+through a per-cell ``np.frompyfunc`` fallback (correct, but without
+the vectorized fast path).
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 try:
     import numpy as _np
 except ImportError:          # pragma: no cover - numpy is baked in
     _np = None
 
-from .gates import int_to_bits
+from .gates import bits_to_int
+from .simulate import _is_scalar
 
 #: Vectorized cell evaluators for the stock library, by cell name.
 #: Each maps ``uint8`` 0/1 arrays to a ``uint8`` 0/1 array with the
@@ -61,18 +73,25 @@ _VECTOR_FNS = {
 class BatchResult:
     """Aggregate outcome of one vectorized batch.
 
-    ``per_vector_toggles`` is an ``int64`` array of length *N* holding
-    the exact toggle count of each applied vector — the batch-level
-    activity profile the scalar path would report step by step.
+    ``per_vector_toggles`` (``int64``) and ``per_vector_energy``
+    (``float64``) are arrays of length *N* holding each applied
+    vector's exact toggle count and switching energy — what the scalar
+    path reports step by step.  ``outputs`` is the ``(N, n_outputs)``
+    ``uint8`` matrix of primary-output values after each vector, in
+    ``netlist.outputs`` order.
     """
 
-    __slots__ = ("toggles", "energy", "steps", "per_vector_toggles")
+    __slots__ = ("toggles", "energy", "steps", "per_vector_toggles",
+                 "per_vector_energy", "outputs")
 
-    def __init__(self, toggles, energy, steps, per_vector_toggles):
+    def __init__(self, toggles, energy, steps, per_vector_toggles,
+                 per_vector_energy, outputs):
         self.toggles = toggles
         self.energy = energy
         self.steps = steps
         self.per_vector_toggles = per_vector_toggles
+        self.per_vector_energy = per_vector_energy
+        self.outputs = outputs
 
     def __repr__(self):
         return "BatchResult(steps=%d, toggles=%d, energy=%.3e J)" % (
@@ -80,34 +99,45 @@ class BatchResult:
         )
 
 
-def _input_matrix(simulator, vectors):
-    """Decode *vectors* (``step_ints``-style bus dicts) into an
-    ``(N, n_inputs)`` 0/1 matrix with carried-forward state.
+def bus_bits(values, width):
+    """Decode integers into an ``(N, width)`` ``uint8`` bit matrix,
+    LSB first — :func:`~repro.gatelevel.gates.int_to_bits` row by row.
+
+    Exact at any width: each value is masked to *width* bits and
+    unpacked from its little-endian bytes, never squeezed through a
+    fixed-width integer dtype.
+    """
+    mask = (1 << width) - 1
+    size = (width + 7) // 8
+    packed = b"".join((int(value) & mask).to_bytes(size, "little")
+                      for value in values)
+    octets = _np.frombuffer(packed, dtype=_np.uint8).reshape(-1, size)
+    return _np.unpackbits(octets, axis=1, count=width, bitorder="little")
+
+
+def _bus_columns(simulator, vectors):
+    """Turn ``step_ints``-style bus dicts into bus columns.
 
     Reproduces the scalar sweep's semantics exactly: a bus absent from
-    a vector keeps its previous value, and each vector sees the state
-    left by the one before it.
+    a vector keeps its previous value (at first, the simulator's
+    current one).  Also returns the vectors' bus orders: each distinct
+    order in which a vector names its buses, with the indices of the
+    vectors that name them so — ``step`` charges input nets in that
+    order.
     """
-    netlist = simulator.netlist
-    by_name = {}
-    for net in netlist.inputs:
-        base = net.name.split("[")[0]
-        by_name.setdefault(base, []).append(net)
-    index_of = {id(net): pos for pos, net in enumerate(netlist.inputs)}
-    current = [simulator.values[net] for net in netlist.inputs]
-    matrix = _np.empty((len(vectors), len(current)), dtype=_np.uint8)
-    for row, vector in enumerate(vectors):
-        for name, value in vector.items():
-            nets = by_name.get(name)
-            if nets is None:
-                raise KeyError("no input bus named %r" % name)
-            if len(nets) == 1 and "[" not in nets[0].name:
-                current[index_of[id(nets[0])]] = 1 if value else 0
-            else:
-                for net, bit in zip(nets, int_to_bits(value, len(nets))):
-                    current[index_of[id(net)]] = bit
-        matrix[row] = current
-    return matrix
+    orders = {}
+    for index, vector in enumerate(vectors):
+        orders.setdefault(tuple(vector), []).append(index)
+    columns = {}
+    for name in dict.fromkeys(name for order in orders for name in order):
+        held = bits_to_int([simulator.values[net]
+                            for net in simulator._bus_nets(name)])
+        column = []
+        for vector in vectors:
+            held = vector.get(name, held)
+            column.append(held)
+        columns[name] = column
+    return columns, list(orders.items())
 
 
 def _vector_fn(cell):
@@ -120,6 +150,22 @@ def _vector_fn(cell):
     return lambda *cols: wrapped(*cols).astype(_np.uint8)
 
 
+def _check_feed_forward(netlist):
+    """Raise :class:`ValueError` if any cell or flop D reads a flop Q."""
+    q_nets = {id(flop.q): flop.q for flop in netlist.dffs}
+    readers = [(net, "cell %s" % cell.output.name)
+               for cell in netlist.cells for net in cell.inputs]
+    readers += [(flop.d, "flip-flop %s" % flop.q.name)
+                for flop in netlist.dffs]
+    for net, reader in readers:
+        if id(net) in q_nets:
+            raise ValueError(
+                "netlist %r feeds flip-flop output %s back into %s; the "
+                "batched path takes feed-forward flops only (feedback "
+                "serializes the batch) — use the scalar simulator"
+                % (netlist.name, net.name, reader))
+
+
 def run_batch(simulator, vectors):
     """Apply *vectors* to *simulator* in one vectorized pass.
 
@@ -127,62 +173,115 @@ def run_batch(simulator, vectors):
     ----------
     simulator:
         A :class:`~repro.gatelevel.simulate.GateLevelSimulator` whose
-        netlist is purely combinational.
+        netlist is combinational or has feed-forward flip-flops only.
     vectors:
-        Sequence of bus-value dicts, each shaped like the keyword
-        arguments of
+        Either a mapping from bus name to an integer sequence, where
+        every vector sets every bus (all sequences have length *N*),
+        or a sequence of *N* bus-value dicts, each shaped like the
+        keyword arguments of
         :meth:`~repro.gatelevel.simulate.GateLevelSimulator.step_ints`.
+        Each vector is clocked, as ``step_ints`` clocks it.
 
     Returns a :class:`BatchResult`; the simulator's committed state
-    afterwards matches a scalar ``step_ints`` sweep exactly (see the
-    module docstring for the energy tolerance).
+    and energy ledger afterwards match a scalar ``step_ints`` sweep
+    exactly (see the module docstring).
     """
     if _np is None:            # pragma: no cover - numpy is baked in
         raise RuntimeError("NumPy is required for batched simulation")
     netlist = simulator.netlist
-    if netlist.dffs:
-        raise ValueError(
-            "netlist %r has %d flip-flop(s); the batched path is "
-            "combinational-only (sequential state serializes the "
-            "batch) — use the scalar simulator" % (netlist.name,
-                                                   len(netlist.dffs)))
-    vectors = list(vectors)
-    count = len(vectors)
-    if not count:
-        return BatchResult(0, 0.0, 0,
-                           _np.zeros(0, dtype=_np.int64))
+    _check_feed_forward(netlist)
+    if isinstance(vectors, Mapping):
+        buses, orders = vectors, [(tuple(vectors), None)]
+    else:
+        vectors = list(vectors)
+        buses, orders = _bus_columns(simulator, vectors)
+    lengths = {len(column) for column in buses.values()}
+    if len(lengths) > 1:
+        raise ValueError("bus columns differ in length: %s"
+                         % sorted(lengths))
+    count = lengths.pop() if lengths else len(vectors)
 
-    matrix = _input_matrix(simulator, vectors)
-    columns = {}
-    for pos, net in enumerate(netlist.inputs):
-        columns[id(net)] = matrix[:, pos]
+    # One row per net that can switch: its state before the batch,
+    # then its column.  A flip is a change between neighbours in a row.
+    values = simulator.values
+    applied = []                # input nets, bus by bus
+    bus_rows = {}
+    for name in buses:
+        nets = simulator._bus_nets(name)
+        bus_rows[name] = range(len(applied), len(applied) + len(nets))
+        applied += nets
+    charged = (applied + [cell.output for cell in simulator._order]
+               + [flop.q for flop in netlist.dffs])
+    states = _np.empty((len(charged), count + 1), dtype=_np.uint8)
+    states[:, 0] = [values[net] for net in charged]
+    columns = {id(net): row for net, row in zip(charged, states[:, 1:])}
+    for net in netlist.inputs:  # inputs the batch never sets hold still
+        columns.setdefault(id(net),
+                           _np.full(count, values[net], dtype=_np.uint8))
+
+    for name, column in buses.items():
+        nets = simulator._bus_nets(name)
+        if _is_scalar(nets):
+            bits = _np.fromiter((1 if value else 0 for value in column),
+                                dtype=_np.uint8, count=count)[:, None]
+        else:
+            bits = bus_bits(column, len(nets))
+        rows = bus_rows[name]
+        states[rows.start:rows.stop, 1:] = bits.T
     for cell in simulator._order:
-        fn = _vector_fn(cell)
-        columns[id(cell.output)] = fn(*(columns[id(net)]
-                                        for net in cell.inputs))
+        columns[id(cell.output)][:] = _vector_fn(cell)(
+            *(columns[id(net)] for net in cell.inputs))
+    for flop in netlist.dffs:
+        columns[id(flop.q)][:] = columns[id(flop.d)]
+
+    flips = states[:, 1:] != states[:, :-1]
+    net_toggles = _np.count_nonzero(flips, axis=1).tolist()
+    for net, toggles, last in zip(charged, net_toggles,
+                                  states[:, -1].tolist()):
+        simulator.toggle_counts[net] += toggles
+        values[net] = last
 
     scale = simulator._energy_scale
-    values = simulator.values
-    toggle_counts = simulator.toggle_counts
-    per_vector = _np.zeros(count, dtype=_np.int64)
-    total_toggles = 0
-    energy = 0.0
-    for net in netlist.nets:
-        column = columns.get(id(net))
-        if column is None:
-            continue            # undriven wire: never changes
-        flips = _np.empty(count, dtype=bool)
-        flips[0] = column[0] != values[net]
-        _np.not_equal(column[1:], column[:-1], out=flips[1:])
-        net_toggles = int(_np.count_nonzero(flips))
-        if net_toggles:
-            per_vector += flips
-            total_toggles += net_toggles
-            toggle_counts[net] += net_toggles
-            energy += net.capacitance * scale * net_toggles
-        values[net] = int(column[-1])
 
-    simulator.total_energy += energy
+    def charge(rows, energy, among=None):
+        """Add each row's ``½CV²`` to *energy* where its net flipped
+        (only in the vectors flagged by *among*, if given)."""
+        for row in rows:
+            if net_toggles[row]:
+                flipped = flips[row] if among is None else flips[row] & among
+                _np.add(energy, charged[row].capacitance * scale,
+                        out=energy, where=flipped)
+
+    cells_end = len(applied) + len(simulator._order)
+    energy = _np.zeros(count)
+    for names, members in orders:
+        among = None
+        if len(orders) > 1:
+            among = _np.zeros(count, dtype=bool)
+            among[members] = True
+        charge([row for name in names for row in bus_rows[name]],
+               energy, among)
+    cell_energy = _np.zeros(count)
+    charge(range(len(applied), cells_end), cell_energy)
+    energy += cell_energy
+    for row, flop in enumerate(netlist.dffs, cells_end):
+        charge((row,), energy)
+        energy += flop.clock_cap * 2 * scale
+
+    outputs = _np.empty((count, len(netlist.outputs)), dtype=_np.uint8)
+    for position, net in enumerate(netlist.outputs):
+        column = columns.get(id(net))
+        outputs[:, position] = values[net] if column is None else column
+
+    per_vector = flips.sum(axis=0, dtype=_np.int64)
+    total_toggles = int(per_vector.sum())
+    batch_energy = 0.0
+    total_energy = simulator.total_energy
+    for step_energy in energy.tolist():
+        batch_energy += step_energy
+        total_energy += step_energy
+    simulator.total_energy = total_energy
     simulator.total_toggles += total_toggles
     simulator.steps += count
-    return BatchResult(total_toggles, energy, count, per_vector)
+    return BatchResult(total_toggles, batch_energy, count, per_vector,
+                       energy, outputs)

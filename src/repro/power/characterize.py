@@ -6,7 +6,10 @@ be necessary to run lower-level simulations."  This module runs the
 gate-level netlists of :mod:`repro.gatelevel` under random stimulus,
 extracts (Hamming-distance feature, measured energy) pairs and fits
 linear macromodels by least squares — the derive-and-validate loop the
-paper performed with SIS.
+paper performed with SIS.  Each fit draws its whole stimulus first and
+simulates it in one :func:`~repro.gatelevel.run_batch` pass, whose
+per-vector energies are bit-identical to stepping the scalar simulator
+vector by vector.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import numpy as np
 
 from ..gatelevel import (
     GateLevelSimulator,
-    hamming_int,
+    bus_bits,
+    run_batch,
     synth_mux,
     synth_one_hot_decoder,
     synth_priority_arbiter,
@@ -110,6 +114,25 @@ def fit_linear_model(feature_rows, energies, feature_names,
                             intercept=max(0.0, intercept))
 
 
+def _hamming_steps(values, start=0):
+    """``hamming_int`` of each value with the one before it (the first
+    with *start*), over a whole sweep at once."""
+    sweep = [start, *values]
+    bits = bus_bits(sweep, max(sweep).bit_length() or 1)
+    return np.count_nonzero(bits[1:] != bits[:-1], axis=1)
+
+
+def _fit(result, features, fit_intercept):
+    """Fit *features* (name → column) to the batch's per-vector
+    energies and evaluate the model on the same columns."""
+    names = tuple(features)
+    model = fit_linear_model(np.column_stack(list(features.values())),
+                             result.per_vector_energy, names,
+                             fit_intercept=fit_intercept)
+    return CharacterizationResult(model, result.per_vector_energy,
+                                  model.energy(**features), names)
+
+
 def characterize_decoder(n_outputs, vdd=1.8, samples=400, seed=1):
     """Fit ``E_DEC ≈ a·HD_IN + b·HD_OUT`` from the gate-level decoder.
 
@@ -121,23 +144,13 @@ def characterize_decoder(n_outputs, vdd=1.8, samples=400, seed=1):
     simulator = GateLevelSimulator(netlist, vdd=vdd)
     rng = random.Random(seed)
 
-    rows, energies = [], []
-    previous = 0
+    codes = [rng.randrange(n_outputs) for _ in range(samples)]
     simulator.step_ints(a=0)
-    for _ in range(samples):
-        code = rng.randrange(n_outputs)
-        result = simulator.step_ints(a=code)
-        hd_in = hamming_int(previous, code)
-        hd_out = 1 if hd_in else 0
-        rows.append([hd_in, hd_out])
-        energies.append(result.energy)
-        previous = code
-    model = fit_linear_model(rows, energies, ("hd_in", "hd_out"),
-                             fit_intercept=False)
-    predicted = [model.energy(hd_in=row[0], hd_out=row[1])
-                 for row in rows]
-    return CharacterizationResult(model, energies, predicted,
-                                  ("hd_in", "hd_out"))
+    result = run_batch(simulator, {"a": codes})
+    hd_in = _hamming_steps(codes)
+    hd_out = (hd_in > 0).astype(int)
+    return _fit(result, {"hd_in": hd_in, "hd_out": hd_out},
+                fit_intercept=False)
 
 
 def characterize_mux(n_inputs, width, vdd=1.8, samples=500, seed=2,
@@ -149,32 +162,25 @@ def characterize_mux(n_inputs, width, vdd=1.8, samples=500, seed=2,
 
     legs = [0] * n_inputs
     select = 0
-    simulator.step_ints(**{"d%d" % i: 0 for i in range(n_inputs)}, s=0)
-    feature_rows, energies = [], []
-    prev_select = 0
-    prev_out = 0
+    data = [[] for _ in range(n_inputs)]
+    selects, outs = [], []
     for _ in range(samples):
         if rng.random() < select_change_probability:
             select = rng.randrange(n_inputs)
         # Toggle a random subset of the selected leg's bits.
         flip = rng.getrandbits(width) & rng.getrandbits(width)
         legs[select] ^= flip
-        result = simulator.step_ints(
-            **{"d%d" % i: legs[i] for i in range(n_inputs)}, s=select,
-        )
-        new_out = legs[select]
-        hd_out = hamming_int(prev_out, new_out)
-        hd_sel = hamming_int(prev_select, select)
-        feature_rows.append([hd_out, hd_sel])
-        energies.append(result.energy)
-        prev_select = select
-        prev_out = new_out
-    model = fit_linear_model(feature_rows, energies,
-                             ("hd_out", "hd_sel"), fit_intercept=False)
-    predicted = [model.energy(hd_out=row[0], hd_sel=row[1])
-                 for row in feature_rows]
-    return CharacterizationResult(model, energies, predicted,
-                                  ("hd_out", "hd_sel"))
+        for leg, column in zip(legs, data):
+            column.append(leg)
+        selects.append(select)
+        outs.append(legs[select])
+    buses = {"d%d" % i: column for i, column in enumerate(data)}
+    buses["s"] = selects
+    simulator.step_ints(**{"d%d" % i: 0 for i in range(n_inputs)}, s=0)
+    result = run_batch(simulator, buses)
+    return _fit(result, {"hd_out": _hamming_steps(outs),
+                         "hd_sel": _hamming_steps(selects)},
+                fit_intercept=False)
 
 
 def characterize_arbiter(n_requesters, vdd=1.8, samples=500, seed=3):
@@ -183,22 +189,11 @@ def characterize_arbiter(n_requesters, vdd=1.8, samples=500, seed=3):
     simulator = GateLevelSimulator(netlist, vdd=vdd)
     rng = random.Random(seed)
 
-    rows, energies = [], []
-    prev_req = 0
-    prev_grant = simulator.output_int()
-    for _ in range(samples):
-        req = rng.getrandbits(n_requesters)
-        result = simulator.step_ints(req=req)
-        grant = simulator.output_int()
-        hd_req = hamming_int(prev_req, req)
-        handover = 1 if grant != prev_grant else 0
-        rows.append([hd_req, handover])
-        energies.append(result.energy)
-        prev_req = req
-        prev_grant = grant
-    model = fit_linear_model(rows, energies, ("hd_req", "handover"),
-                             fit_intercept=True)
-    predicted = [model.energy(hd_req=row[0], handover=row[1])
-                 for row in rows]
-    return CharacterizationResult(model, energies, predicted,
-                                  ("hd_req", "handover"))
+    requests = [rng.getrandbits(n_requesters) for _ in range(samples)]
+    start = [simulator.values[net] for net in netlist.outputs]
+    result = run_batch(simulator, {"req": requests})
+    grants = np.vstack([start, result.outputs])
+    handover = np.any(grants[1:] != grants[:-1], axis=1).astype(int)
+    return _fit(result, {"hd_req": _hamming_steps(requests),
+                         "handover": handover},
+                fit_intercept=True)

@@ -1,10 +1,13 @@
 """Vectorized gate-level batch vs the scalar sweep it must reproduce.
 
-``run_batch`` promises exact integer toggle counts and identical
+``run_batch`` promises exact integer toggle counts, identical
 end-of-batch simulator state (values, per-net toggle counts, totals,
-step counter); only the accumulated *energy* is allowed to differ in
-the last float ulps (summation order).  Each test drives a scalar
-``step_ints`` sweep and a batched run of the same vectors side by side.
+step counter) and per-vector energies equal to the scalar
+``StepResult.energy`` to the last bit, on combinational netlists and
+on feed-forward flip-flops.  Each test drives a scalar ``step_ints``
+sweep and a batched run of the same vectors side by side.  The older
+state checks compare ``total_energy`` with ``np.isclose``; the tests
+under "bit-identical energies" compare it with ``==``.
 """
 
 import numpy as np
@@ -13,13 +16,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro.gatelevel import (
     AND2,
+    BUF,
+    INV,
+    XOR2,
     BatchResult,
     CellType,
+    Dff,
     GateLevelSimulator,
     Netlist,
+    bus_bits,
+    int_to_bits,
     run_batch,
     synth_mux,
     synth_one_hot_decoder,
+    synth_priority_arbiter,
 )
 
 
@@ -165,15 +175,181 @@ class TestBatchEdges:
         assert result.per_vector_toggles.shape == (0,)
         assert sim.steps == 0 and sim.total_toggles == 0
 
-    def test_rejects_sequential_netlists(self):
-        nl = Netlist("reg")
-        d = nl.add_input("d")
-        nl.mark_output(nl.add_dff(d, q_name="q"))
-        sim = GateLevelSimulator(nl)
-        with pytest.raises(ValueError, match="flip-flop"):
-            run_batch(sim, [{"d": 1}])
-
     def test_unknown_bus_name_raises(self):
         sim = GateLevelSimulator(synth_mux(2, 4))
         with pytest.raises(KeyError, match="no input bus"):
             run_batch(sim, [{"nonesuch": 1}])
+
+
+# -- bit-identical energies -------------------------------------------------
+
+def _build(kind, size):
+    if kind == "decoder":
+        return synth_one_hot_decoder(size)
+    if kind == "mux":
+        return synth_mux(size, 8)
+    return synth_priority_arbiter(size)
+
+
+@st.composite
+def _stimulus(draw):
+    """A block, a scalar warm-up and a batch of ``step_ints`` vectors.
+
+    Every vector names its buses in one order (a subset may be held),
+    which is the order the batch applies them in.
+    """
+    kind = draw(st.sampled_from(["decoder", "mux", "arbiter"]))
+    size = draw(st.sampled_from([2, 3, 4, 8]))
+    if kind == "decoder":
+        bus = {"a": st.integers(0, 2 * size)}
+    elif kind == "mux":
+        bus = {"d%d" % i: st.integers(0, 255) for i in range(size)}
+        bus["s"] = st.integers(0, size - 1)
+    else:
+        bus = {"req": st.integers(0, (1 << size) - 1)}
+    vector = st.fixed_dictionaries({}, optional=bus)
+    warm = draw(st.lists(vector, max_size=3))
+    batch = draw(st.lists(vector, max_size=40))
+    return kind, size, warm, batch
+
+
+class TestBitIdenticalEnergy:
+    @settings(max_examples=60, deadline=None)
+    @given(_stimulus())
+    def test_per_vector_energy_equals_scalar_steps(self, stimulus):
+        kind, size, warm, batch = stimulus
+        scalar_sim = GateLevelSimulator(_build(kind, size))
+        batch_sim = GateLevelSimulator(_build(kind, size))
+        for vector in warm:
+            scalar_sim.step_ints(**vector)
+            batch_sim.step_ints(**vector)
+        steps = [scalar_sim.step_ints(**vector) for vector in batch]
+
+        result = run_batch(batch_sim, batch)
+
+        assert result.per_vector_energy.tolist() == [
+            step.energy for step in steps]
+        assert result.per_vector_toggles.tolist() == [
+            step.toggles for step in steps]
+        assert batch_sim.total_energy == scalar_sim.total_energy
+        assert batch_sim.total_toggles == scalar_sim.total_toggles
+        _assert_same_state(batch_sim, scalar_sim)
+        outputs = scalar_sim.netlist.outputs
+        assert result.outputs.tolist() == [
+            [step.outputs[net] for net in outputs] for step in steps]
+
+    def test_arbiter_charges_flops_and_clock(self):
+        # The registered grant is a feed-forward flop stage: every
+        # vector pays its clock pins, so even a held request costs.
+        vectors = [{"req": value} for value in (0, 0, 5, 4, 4, 15, 0)]
+        scalar_sim = GateLevelSimulator(synth_priority_arbiter(4))
+        energies = [scalar_sim.step_ints(**vector).energy
+                    for vector in vectors]
+        batch_sim = GateLevelSimulator(synth_priority_arbiter(4))
+        result = run_batch(batch_sim, vectors)
+        assert result.per_vector_energy.tolist() == energies
+        assert min(energies) > 0
+        assert batch_sim.total_energy == scalar_sim.total_energy
+
+    def test_batch_energy_is_the_sequential_sum(self):
+        sim = GateLevelSimulator(synth_mux(4, 8))
+        result = run_batch(sim, _mux_vectors(50))
+        total = 0.0
+        for energy in result.per_vector_energy.tolist():
+            total += energy
+        assert result.energy == total == sim.total_energy
+
+
+class TestBusColumns:
+    def test_column_form_equals_dict_form(self):
+        vectors = _mux_vectors(120, seed=3)
+        columns = {name: [vector[name] for vector in vectors]
+                   for name in vectors[0]}
+        dict_sim = GateLevelSimulator(synth_mux(4, 8))
+        column_sim = GateLevelSimulator(synth_mux(4, 8))
+
+        by_dict = run_batch(dict_sim, vectors)
+        by_column = run_batch(column_sim, columns)
+
+        for field in ("per_vector_energy", "per_vector_toggles",
+                      "outputs"):
+            assert (getattr(by_column, field).tolist()
+                    == getattr(by_dict, field).tolist()), field
+        assert by_column.energy == by_dict.energy
+        assert column_sim.total_energy == dict_sim.total_energy
+        _assert_same_state(column_sim, dict_sim)
+
+    def test_columns_must_share_one_length(self):
+        sim = GateLevelSimulator(synth_mux(2, 4))
+        with pytest.raises(ValueError, match="differ in length"):
+            run_batch(sim, {"d0": [1, 2, 3], "d1": [1, 2], "s": [0, 1, 0]})
+
+    def test_unknown_bus_in_columns_raises(self):
+        sim = GateLevelSimulator(synth_mux(2, 4))
+        with pytest.raises(KeyError, match="no input bus"):
+            run_batch(sim, {"nonesuch": [1]})
+
+    def test_64_bit_bus_decodes_exactly(self):
+        def build():
+            nl = Netlist("wide")
+            bits = nl.add_input_bus("x", 64)
+            nl.mark_output(nl.tree(XOR2, bits, output_name="parity"))
+            for index in (0, 61, 62, 63):
+                nl.mark_output(nl.add_cell(BUF, [bits[index]],
+                                           output_name="y%d" % index))
+            return nl
+
+        values = [(1 << 64) - 1, 1 << 63, (1 << 62) | 5, 0,
+                  (1 << 63) | (1 << 61), -1, (1 << 70) | 3]
+        vectors = [{"x": value} for value in values]
+        scalar_sim = GateLevelSimulator(build())
+        steps = [scalar_sim.step_ints(**vector) for vector in vectors]
+        batch_sim = GateLevelSimulator(build())
+        result = run_batch(batch_sim, {"x": values})
+        assert result.per_vector_energy.tolist() == [
+            step.energy for step in steps]
+        _assert_same_state(batch_sim, scalar_sim)
+        assert bus_bits(values, 64).tolist() == [
+            int_to_bits(value, 64) for value in values]
+
+    @given(st.lists(st.integers(-(1 << 80), 1 << 80), max_size=20),
+           st.integers(1, 100))
+    def test_bus_bits_matches_int_to_bits(self, values, width):
+        assert bus_bits(values, width).tolist() == [
+            int_to_bits(value, width) for value in values]
+
+
+class TestFlipFlopScope:
+    def test_accepts_feed_forward_flop(self):
+        def build():
+            nl = Netlist("reg")
+            d = nl.add_input("d")
+            nl.mark_output(nl.add_dff(d, q_name="q"))
+            return nl
+
+        vectors = [{"d": bit} for bit in (1, 1, 0, 1, 0, 0)]
+        scalar_sim = GateLevelSimulator(build())
+        energies = [scalar_sim.step_ints(**vector).energy
+                    for vector in vectors]
+        batch_sim = GateLevelSimulator(build())
+        result = run_batch(batch_sim, vectors)
+        assert result.per_vector_energy.tolist() == energies
+        _assert_same_state(batch_sim, scalar_sim)
+
+    def test_rejects_flop_d_reading_its_own_q(self):
+        nl = Netlist("toggle")
+        nl.add_input("en")
+        q = nl.net("q")
+        nl.dffs.append(Dff(q, q))
+        sim = GateLevelSimulator(nl)
+        with pytest.raises(ValueError, match="flip-flop"):
+            run_batch(sim, [{"en": 1}])
+
+    def test_rejects_cell_reading_q(self):
+        nl = Netlist("counter")
+        en = nl.add_input("en")
+        q = nl.add_dff(en, q_name="q")
+        nl.mark_output(nl.add_cell(INV, [q], output_name="nq"))
+        sim = GateLevelSimulator(nl)
+        with pytest.raises(ValueError, match="flip-flop"):
+            run_batch(sim, [{"en": 1}])
