@@ -17,21 +17,23 @@ exactly, but with every dynamic lookup resolved at compile time:
 * the combinational cascade that follows is handed to the engine's
   shared settle loop.
 
-The batched power monitor's call site is a swappable module global
-(``_mon_<domain>``): the engine points it at the recording closure or
-at the live monitor method before each run.
+Every batched consumer (the power monitor, each compliance engine) has
+its call site emitted as a swappable module global named by the
+engine: before each run the engine points it at the consumer's
+recording closure or at its live method.
 """
 
 from __future__ import annotations
 
 
-def emit_module(engine, graph, monitor_process=None):
+def emit_module(engine, graph, slots):
     """Build the specialized edge functions for every domain.
 
-    Returns ``{clock: (rising, falling)}``; the functions close over
-    *engine* (for the generic fallback and the cascade) and the
-    namespace, which is stored on the engine for the per-run monitor
-    slot swap.
+    *slots* maps ``id(process)`` to the namespace key of that
+    process's swappable call site.  Returns ``{clock: (rising,
+    falling)}``; the functions close over *engine* (for the generic
+    fallback and the cascade) and the namespace, which is stored on
+    the engine for the per-run slot swap.
     """
     lines = []
     namespace = {
@@ -47,15 +49,12 @@ def emit_module(engine, graph, monitor_process=None):
         namespace["_dom_%d" % index] = domain
         names = []
         for position, info in enumerate(domain.seq_pos):
-            if monitor_process is not None and \
-                    info.process is monitor_process:
-                namespace["_mon_%d" % index] = info.process.fn
-                domain.monitor_slot = "_mon_%d" % index
-            else:
-                namespace["_f%d_%d" % (index, position)] = info.process.fn
+            key = slots.get(id(info.process),
+                            "_f%d_%d" % (index, position))
+            namespace[key] = info.process.fn
             names.append(info.process.name)
         namespace["_names_%d" % index] = tuple(names)
-        lines.append(_emit_rising(index, domain, monitor_process))
+        lines.append(_emit_rising(index, domain, slots))
         lines.append(_emit_falling(index, domain))
     source = "\n".join(lines)
     code = compile(source, "<repro.compiled.codegen>", "exec")
@@ -68,7 +67,7 @@ def emit_module(engine, graph, monitor_process=None):
     }
 
 
-def _emit_rising(index, domain, monitor_process):
+def _emit_rising(index, domain, slots):
     sig = "_sig_%d" % index
     guard = ("    if (%s._inject is not None or %s._watchers is not None\n"
              "            or %s._staged or %s._value):\n"
@@ -96,10 +95,8 @@ def _emit_rising(index, domain, monitor_process):
     for position, info in enumerate(domain.seq_pos):
         if position:
             body.append("        _n = %d" % position)
-        if monitor_process is not None and info.process is monitor_process:
-            body.append("        _mon_%d()" % index)
-        else:
-            body.append("        _f%d_%d()" % (index, position))
+        body.append("        %s()" % slots.get(
+            id(info.process), "_f%d_%d" % (index, position)))
     body.extend([
         "    except (_SimulationError, KeyboardInterrupt):",
         "        raise",

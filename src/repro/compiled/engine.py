@@ -25,6 +25,21 @@ round) is evaluated once.  Combinational processes are pure committed
 read → staged write functions, so the duplicate evaluation stages the
 same values and the round structure — hence ``delta_count`` — is
 unchanged; the equivalence suite enforces this.
+
+**Batched consumers.**  The power monitor and every compliance engine
+have their call sites emitted as swappable slots.  On a single-domain
+run the engine points a slot at the consumer's recorder — one tuple of
+committed values per cycle — and replays the rows at run end (also on
+an error or a stop), at the row cap, before a hand-off to the
+interpreted loop and before a generic edge.  Whether a consumer
+batches is decided at every run: the monitor batches unless a
+power-FSM sink needs per-cycle time stamps
+(:mod:`repro.compiled.monitor_batch`); a
+:class:`~repro.protocol.ComplianceEngine` batches only when every
+effective severity is ``record`` and every rule is a stock catalogue
+class (:mod:`repro.compiled.checker_batch`).  ``raise`` and ``warn``
+severity, custom rules, several clock domains and kernel observers
+keep the live per-cycle method.
 """
 
 from __future__ import annotations
@@ -40,6 +55,7 @@ from ..kernel.errors import (
 )
 from ..kernel.events import MethodProcess, ThreadProcess
 from ..kernel.time import format_time
+from .checker_batch import CheckerBatch, checker_batchable
 from .codegen import emit_module
 from .errors import CompileError
 from .graph import extract_graph
@@ -60,7 +76,9 @@ class CompiledEngine:
         Optional power monitor; a batchable
         :class:`~repro.power.monitors.GlobalPowerMonitor` gets the
         record/replay fast path of
-        :mod:`repro.compiled.monitor_batch`.
+        :mod:`repro.compiled.monitor_batch`.  Compliance engines need
+        no argument: every stock one on a rising edge gets the batch of
+        :mod:`repro.compiled.checker_batch`.
 
     Raises :class:`~repro.compiled.errors.CompileError` when the design
     cannot be statically scheduled (dynamic sensitivity, undeclared
@@ -91,28 +109,37 @@ class CompiledEngine:
             id(domain.driver): domain for domain in self.graph.domains}
 
         self.monitor = monitor
+        #: The power monitor's batch, or None.
         self.batch = None
-        monitor_process = None
-        if monitor is not None and batchable(monitor):
-            bound = getattr(type(monitor), "_on_clk", None)
-            for domain in self.graph.domains:
-                for info in domain.seq_pos:
-                    fn = info.process.fn
-                    if getattr(fn, "__self__", None) is monitor and \
-                            getattr(fn, "__func__", None) is bound:
-                        monitor_process = info.process
-            if monitor_process is not None:
-                self.batch = MonitorBatch(monitor)
+        #: One batch per compliance engine on a rising edge.
+        self.checker_batches = []
+        # (batch, live method, slot key) per batched call site
+        self._consumers = []
+        slots = {}
+        monitor_bound = getattr(type(monitor), "_on_clk", None) \
+            if monitor is not None and batchable(monitor) else None
+        for domain in self.graph.domains:
+            for info in domain.seq_pos:
+                fn = info.process.fn
+                if monitor_bound is not None and \
+                        getattr(fn, "__self__", None) is monitor and \
+                        getattr(fn, "__func__", None) is monitor_bound:
+                    self.batch = MonitorBatch(monitor)
+                    batch = self.batch
+                elif checker_batchable(fn):
+                    batch = CheckerBatch(fn)
+                    self.checker_batches.append(batch)
+                else:
+                    continue
+                key = slots[id(info.process)] = "_slot_%d" % len(slots)
+                self._consumers.append((batch, fn, key))
 
         self._namespace = None       # filled by emit_module
-        self._edges = emit_module(self, self.graph, monitor_process)
-        self._monitor_slots = [domain.monitor_slot
-                               for domain in self.graph.domains
-                               if domain.monitor_slot is not None]
+        self._edges = emit_module(self, self.graph, slots)
 
         self._spare = []
         self._uq_spare = []
-        self._active_batch = None
+        self._active_batches = ()
 
         #: Run accounting for telemetry / tests.
         self.runs_compiled = 0
@@ -175,8 +202,7 @@ class CompiledEngine:
         if self._uq_spare is sim._update_queue or self._uq_spare:
             self._uq_spare = []
 
-        use_batch = self._set_monitor_slots(len(plan) == 1)
-        self._active_batch = self.batch if use_batch else None
+        self._active_batches = self._set_slots(len(plan) == 1)
         try:
             if len(plan) == 1:
                 return self._run_single(sim, plan[0], until,
@@ -184,7 +210,7 @@ class CompiledEngine:
             return self._run_multi(sim, plan, until,
                                    wall_clock_budget, wall_start)
         finally:
-            self._active_batch = None
+            self._active_batches = ()
 
     # -- validation ----------------------------------------------------
 
@@ -251,25 +277,21 @@ class CompiledEngine:
             plan.append([entry_time, seq, domain, entry])
         return plan
 
-    def _set_monitor_slots(self, single_domain):
-        """Point monitor call sites at the recorder or the live method.
+    def _set_slots(self, single_domain):
+        """Point every batched call site at its recorder or its live
+        method; returns the batches recording this run."""
+        active = []
+        for batch, live, key in self._consumers:
+            use = single_domain and batch.eligible()
+            self._namespace[key] = batch.recorder if use else live
+            if use:
+                active.append(batch)
+        return tuple(active)
 
-        Returns True when batching is active for this run."""
-        if not self._monitor_slots:
-            return False
-        use = (single_domain and self.batch is not None
-               and self._batch_eligible())
-        target = self.batch.recorder if use else self.monitor._on_clk
-        for slot in self._monitor_slots:
-            self._namespace[slot] = target
-        return use
-
-    def _batch_eligible(self):
-        """Per-run sinks check: any live consumer disables batching."""
-        monitor = self.monitor
-        fsm = monitor.fsm
-        return (fsm.traces is None and fsm.datafile is None
-                and fsm.instruction_log is None and fsm.tracer is None)
+    def _flush(self):
+        """Replay every recording batch's buffered rows."""
+        for batch in self._active_batches:
+            batch.flush()
 
     # -- single-domain fast loop ---------------------------------------
 
@@ -285,7 +307,6 @@ class CompiledEngine:
         signal = clock.signal
         rising, falling = self._edges[clock]
         high, low = clock.high_time, clock.low_time
-        batch = self._active_batch
         monotonic = _time.monotonic
         edge_time = entry_time
         # The driver's park position; tracked explicitly so a foreign
@@ -316,8 +337,7 @@ class CompiledEngine:
                     # the interpreter
                     self._materialize(domain, edge_time, seq,
                                       driver_high)
-                    if batch is not None:
-                        batch.flush()
+                    self._flush()
                     edges = -1
                     sim._run_interpreted(until, None, wall_clock_budget,
                                          wall_start)
@@ -332,8 +352,8 @@ class CompiledEngine:
                 self._materialize(domain, edge_time, seq, driver_high)
             elif edges == 0:
                 heapq.heappush(timed, entry)
-            if edges >= 0 and batch is not None:
-                batch.flush()
+            if edges >= 0:
+                self._flush()
         if not stopped:
             sim.now = until
         return True
@@ -436,11 +456,9 @@ class CompiledEngine:
         path cannot prove safe (injection hooks or watchers on the
         clock wire, a stale level, level-sensitive clock logic)."""
         sim = self.sim
-        batch = self._active_batch
-        if batch is not None and batch.pending:
-            # the live monitor runs on this edge; replay the buffered
-            # cycles first so its state is current
-            batch.flush()
+        # the live methods run on this edge; replay the buffered
+        # cycles first so their state is current
+        self._flush()
         sim.delta_count += 1
         domain.clock.signal.write(level)
         if level:
@@ -515,9 +533,10 @@ class CompiledEngine:
 
     def __repr__(self):
         return ("CompiledEngine(domains=%d, seq=%d, comb=%d, "
-                "batched_monitor=%s)"
+                "batched_monitor=%s, batched_checker=%s)"
                 % (len(self.graph.domains),
                    sum(len(domain.seq_pos) + len(domain.seq_neg)
                        for domain in self.graph.domains),
                    len(self.graph.comb),
-                   self.batch is not None))
+                   self.batch is not None,
+                   bool(self.checker_batches)))

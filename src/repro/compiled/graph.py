@@ -53,15 +53,11 @@ class ClockDomain:
     """One clock plus the sequential processes it drives."""
 
     __slots__ = ("clock", "driver", "seq_pos", "seq_neg",
-                 "pos_waiters", "neg_waiters", "changed_waiters",
-                 "monitor_slot")
+                 "pos_waiters", "neg_waiters", "changed_waiters")
 
     def __init__(self, clock, driver):
         self.clock = clock
         self.driver = driver
-        #: Namespace key of the monitor call site (codegen fills it in
-        #: when the batched power monitor lives in this domain).
-        self.monitor_slot = None
         #: Seq processes fired on the rising / falling edge, in the
         #: event's firing order (= registration order).
         self.seq_pos = []

@@ -18,6 +18,22 @@ Severity is configurable per engine and per rule:
 ``raise``
     Raise :class:`ProtocolComplianceError` at the violating cycle —
     the simulation dies exactly where the protocol does.
+
+On the compiled engine (:mod:`repro.compiled`) a run in which every
+effective severity is ``record`` does not call :meth:`_on_clk` each
+cycle: the emitted edge function records the checked signal values
+instead, and :mod:`repro.compiled.checker_batch` evaluates the rules
+over the recorded rows at the engine's flush points (run end, the row
+cap, a hand-off to the interpreted loop), producing the identical
+violations, counters and rule state.  A run stays live, cycle by
+cycle, whenever a violation must act at its own cycle or the batch
+cannot prove it reproduces the rules: ``raise`` or ``warn`` severity
+(globally or through ``severity_overrides``), a rule that is not one
+of the stock catalogue classes, an engine subclass other than the
+:class:`~repro.amba.AhbProtocolChecker` facade, several clock domains
+or a kernel observer.  The decision is taken afresh at every run, so
+assigning ``severity`` (or ``AhbProtocolChecker.strict``) between runs
+takes effect at the next one.
 """
 
 from __future__ import annotations
@@ -226,7 +242,12 @@ class ComplianceEngine(Module):
             print("[%s] %r" % (self.name, violation), file=sys.stderr)
 
     def _on_clk(self):
-        view = CycleView(self.bus, self.cycles_checked, self.sim.now)
+        self._check(CycleView(self.bus, self.cycles_checked, self.sim.now))
+
+    def _check(self, view):
+        """Run every rule over one cycle's *view* (the per-cycle
+        reference; the compiled engine's batch replays recorded rows
+        through it when NumPy cannot hold their values)."""
         self.cycles_checked += 1
         for rule in self.rules:
             for rule_id, message in rule.check(self._prev, view) or ():

@@ -7,7 +7,8 @@ the outcome fingerprint.  These tests attack that claim from several
 directions: the paper testbench directly, the monitor batch's NumPy
 and pure-Python replay paths, flush-cap boundaries, the live-monitor
 slot used when batching is ineligible, checkpointed digest streams,
-and a Hypothesis sweep over scenarios, fault schedules and seeds.
+and a Hypothesis sweep over scenarios, fault schedules and seeds that
+also holds the batched compliance checker to the per-cycle one.
 """
 
 import pytest
@@ -164,11 +165,17 @@ def run_specs(draw):
     )
     if draw(st.booleans()):  # optional mid-run signal corruption
         start = draw(st.integers(min_value=0, max_value=2)) * 1_000_000
+        kind = draw(st.sampled_from(("bit-flip", "stuck-at", "glitch")))
+        signal = draw(st.sampled_from(("hrdata", "haddr", "htrans",
+                                       "hburst", "hsize", "hresp")))
+        # A beat moves 2**HSIZE bytes through the slaves' byte loops;
+        # keep corrupted sizes within a word.
+        wide = signal != "hsize"
         spec.faults = list(spec.faults) + [FaultEntry.signal_fault(
-            draw(st.sampled_from(("bit-flip", "stuck-at", "glitch"))),
-            draw(st.sampled_from(("hrdata", "haddr", "htrans"))),
-            bit=draw(st.integers(min_value=0, max_value=7)),
-            value=draw(st.integers(min_value=0, max_value=255)),
+            kind, signal,
+            bit=draw(st.integers(min_value=0, max_value=7 if wide else 1)),
+            value=draw(st.integers(min_value=0,
+                                   max_value=255 if wide else 3)),
             start_ps=start, end_ps=start + 2_000_000,
             probability=draw(st.sampled_from((0.1, 0.5, 1.0))),
         )]
@@ -185,6 +192,11 @@ class TestCompiledEqualsInterpretedProperty:
         c_system, c_outcome = execute(spec.replace(engine="compiled"))
 
         assert c_outcome.fingerprint() == i_outcome.fingerprint()
+        # The checker's full state — every violation with its snapshot,
+        # counters and rule state — on crashed runs too.
+        if i_system.checker is not None:
+            assert (c_system.checker.state_dict()
+                    == i_system.checker.state_dict())
         # Crashed/hung runs can stop mid-delta, where snapshot() is
         # not defined to be quiescent; the fingerprint (which embeds
         # exact energy totals) is the oracle there.

@@ -12,6 +12,7 @@ from repro.amba import (
     DefaultMaster,
     MemorySlave,
 )
+from repro.compiled import compile_simulator
 from repro.faults import BabblingMaster
 from repro.kernel import (
     Clock,
@@ -26,6 +27,7 @@ from repro.protocol import (
     CATALOGUE,
     ComplianceEngine,
     ProtocolComplianceError,
+    Rule,
     advisory_rules,
     is_mandatory,
     mandatory_rules,
@@ -67,6 +69,10 @@ class EngineSystem:
     def run_us(self, micros):
         self.sim.run(until=self.sim.now + us(micros))
         return self
+
+    def compile(self):
+        """Install the compiled engine; returns it."""
+        return compile_simulator(self.sim, [self.clk])
 
     def glitch_htrans_seq(self, at_ns=500):
         """Force an out-of-thin-air SEQ onto HTRANS for one cycle."""
@@ -161,6 +167,18 @@ class TestSeverity:
         assert isinstance(exc_info.value.original,
                           ProtocolComplianceError)
         assert len(sys.engine.violations) == 1
+
+    def test_raise_dies_at_the_violating_cycle_compiled(self):
+        sys = EngineSystem(severity="raise")
+        sys.glitch_htrans_seq()
+        engine = sys.compile()
+        with pytest.raises(ProcessError) as exc_info:
+            sys.run_us(2)
+        assert isinstance(exc_info.value.original,
+                          ProtocolComplianceError)
+        assert len(sys.engine.violations) == 1
+        assert sys.sim.now == sys.engine.violations[0].time
+        assert engine.checker_batches[0].rows_replayed == 0
 
     def test_warn_prints_once_per_rule(self, capsys):
         sys = EngineSystem(severity="warn")
@@ -269,3 +287,69 @@ class TestLegacyFacade:
         assert checker.severity == "record"
         checker.strict = True
         assert checker.severity == "raise"
+
+
+class _Silent(Rule):
+    """A custom rule: its presence keeps the engine per-cycle."""
+
+    emits = ("custom",)
+
+    def check(self, prev, view):
+        return ()
+
+
+class TestCompiledLivePath:
+    """On the compiled engine, configurations whose violations must act
+    at their own cycle keep the live per-cycle method, decided afresh
+    at every run; results equal the interpreted engine's."""
+
+    @staticmethod
+    def _system(engine, **engine_kwargs):
+        sys = EngineSystem(**engine_kwargs)
+        sys.glitch_htrans_seq(at_ns=1500)
+        sys.compiled = sys.compile() if engine == "compiled" else None
+        return sys
+
+    @pytest.mark.parametrize("kwargs", [
+        {"severity_overrides": {"burst-control": "raise"}},
+        {"severity": "warn"},
+        {"rules": mandatory_rules() + [_Silent()]},
+    ], ids=["override-raise", "warn", "custom-rules"])
+    def test_configurations_that_stay_live(self, kwargs, capsys):
+        def run(engine):
+            sys = self._system(engine, **kwargs)
+            sys.run_us(2)
+            if sys.compiled is not None:
+                (batch,) = sys.compiled.checker_batches
+                assert batch.rows_replayed == 0
+            return sys.engine.state_dict(), capsys.readouterr().err
+
+        interpreted = run("interpreted")
+        assert interpreted[0]["violations"]
+        assert run("compiled") == interpreted
+
+    def test_strict_toggled_between_runs(self):
+        def run(engine):
+            sys = self._system("interpreted")
+            facade = AhbProtocolChecker(sys.sim, "facade", sys.bus)
+            sys.compiled = sys.compile() if engine == "compiled" \
+                else None
+            sys.run_us(1)
+            replayed = None
+            if sys.compiled is not None:
+                (batch,) = [batch for batch
+                            in sys.compiled.checker_batches
+                            if batch.engine is facade]
+                replayed = batch.rows_replayed
+                assert replayed == facade.cycles_checked > 0
+            facade.strict = True
+            with pytest.raises(ProcessError) as exc_info:
+                sys.run_us(1)
+            assert isinstance(exc_info.value.original,
+                              ProtocolComplianceError)
+            assert sys.sim.now == facade.violations[-1].time
+            if sys.compiled is not None:
+                assert batch.rows_replayed == replayed
+            return str(exc_info.value), sys.sim.now, facade.state_dict()
+
+        assert run("compiled") == run("interpreted")
