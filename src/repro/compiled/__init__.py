@@ -20,6 +20,9 @@ straight-line edge code at elaboration time:
    digests and energy ledgers match byte for byte.  Anything it cannot
    prove safe falls back to the interpreted loop, loudly via
    :attr:`CompiledEngine.fallback_reason`.
+   The power monitor and the compliance engines are recorded and
+   replayed in blocks through one protocol
+   (:mod:`~repro.compiled.rowbatch`).
 
 Typical use::
 
@@ -48,15 +51,15 @@ __all__ = [
 ]
 
 
-def compile_simulator(sim, clocks, monitor=None, install=True):
+def compile_simulator(sim, clocks, install=True):
     """Compile *sim* (with its *clocks*) and install the engine.
 
-    ``monitor`` may name a :class:`~repro.power.monitors.GlobalPowerMonitor`
-    to enable the batched record/replay power path.  Pass
-    ``install=False`` to get an un-installed engine (e.g. for
-    inspection or deferred attachment).
+    Every stock :class:`~repro.power.monitors.GlobalPowerMonitor` and
+    compliance engine on a rising edge gets the batched record/replay
+    path.  Pass ``install=False`` to get an un-installed engine (e.g.
+    for inspection or deferred attachment).
     """
-    engine = CompiledEngine(sim, clocks, monitor=monitor)
+    engine = CompiledEngine(sim, clocks)
     if install:
         engine.install()
     return engine
@@ -66,7 +69,6 @@ def compile_system(system, install=True):
     """Compile an :class:`~repro.workloads.testbench.AhbSystem`.
 
     Convenience wrapper around :func:`compile_simulator` using the
-    system's simulator, bus clock and (if present) power monitor.
+    system's simulator and bus clock.
     """
-    return compile_simulator(system.sim, [system.clk],
-                             monitor=system.monitor, install=install)
+    return compile_simulator(system.sim, [system.clk], install=install)

@@ -2,14 +2,15 @@
 
 The :class:`~repro.protocol.ComplianceEngine` runs its rule catalogue
 in Python on every rising edge.  In compiled mode, when every effective
-severity is ``record``, the engine replaces the checker's slot in the
-emitted rising-edge function with a *recorder* that appends one tuple
-of the committed values :class:`~repro.protocol.CycleView` reads
-(HTRANS, HADDR, HWRITE, HSIZE, HBURST, HREADY, HRESP, HMASTER,
-HMASTER_D, every HSEL, every HGRANT, ``split_mask``, ``dactive`` and
-``sim.now``).  :meth:`CheckerBatch.flush` then evaluates the rules over
-the buffered rows at the points where the monitor batch flushes, its
-row cap (``monitor_batch._FLUSH_ROWS``) included.
+severity is ``record``, the engine is one consumer of the shared
+record/replay protocol (:mod:`repro.compiled.rowbatch`): its recorder
+appends one tuple of the committed values
+:class:`~repro.protocol.CycleView` reads (HTRANS, HADDR, HWRITE,
+HSIZE, HBURST, HREADY, HRESP, HMASTER, HMASTER_D, every HSEL, every
+HGRANT, ``split_mask``, ``dactive`` and ``sim.now``), and a flush
+evaluates the rules over the buffered rows.  This module keeps only
+what is the checker's own: those columns and guards, the per-run
+eligibility check and the rule evaluators.
 
 The contract is identity with the per-cycle engine: the same
 violations (rule id, cycle, time, message, spec, snapshot) in the same
@@ -26,10 +27,8 @@ by emission order within the rule — and, after a flush, the same
   never from NumPy scalars;
 * rows the live rules would raise on (HTRANS or HRESP outside 0..3,
   HBURST outside 0..7, HSIZE outside 0..62, which NumPy shifts cannot
-  hold) are never batched: the recorder flushes and calls the live
-  method, so the ``ProcessError``, its attribution and the torn state
-  are byte-identical.  So is every row while a burst is open with
-  control values such a row left behind;
+  hold) run the live method, and so does every row while a burst is
+  open with control values such a row left behind;
 * a block holding a value beyond int64 is replayed through
   :meth:`ComplianceEngine._check`, the per-cycle reference itself.
 """
@@ -38,11 +37,6 @@ from __future__ import annotations
 
 from itertools import chain as _chain
 from operator import itemgetter as _itemgetter
-
-try:
-    import numpy as _np
-except ImportError:          # pragma: no cover - numpy is baked in
-    _np = None
 
 from ..amba.checker import AhbProtocolChecker
 from ..amba.types import HBURST, HRESP, HTRANS, next_burst_address
@@ -60,7 +54,7 @@ from ..protocol.rules import (
     TwoCycleResponseRule,
     WaitLimitRule,
 )
-from . import monitor_batch
+from .rowbatch import RowBatch, _np
 
 #: Leading columns of a recorded row; HSEL, HGRANT, split mask,
 #: dactive and the time stamp follow.
@@ -71,35 +65,18 @@ from . import monitor_batch
 _MAX_SIZE = 62
 
 
-def checker_batchable(fn):
-    """Can the process running *fn* be batch-evaluated at all?
+class CheckerBatch(RowBatch):
+    """Recorder + block evaluator for one :class:`ComplianceEngine`
+    (or the :class:`AhbProtocolChecker` facade, which only maps
+    ``strict`` onto the severity)."""
 
-    *fn* must be the stock per-cycle method of a
-    :class:`ComplianceEngine` or of the :class:`AhbProtocolChecker`
-    facade (which only maps ``strict`` onto the severity).  Whether a
-    given run batches is decided per run by
-    :meth:`CheckerBatch.eligible`.
-    """
-    engine = getattr(fn, "__self__", None)
-    return (_np is not None
-            and type(engine) in (ComplianceEngine, AhbProtocolChecker)
-            and getattr(fn, "__func__", None) is ComplianceEngine._on_clk)
-
-
-class CheckerBatch:
-    """Recorder + block evaluator for one :class:`ComplianceEngine`.
-
-    ``rows_replayed`` counts the recorded rows evaluated by a flush,
-    ``live_diverts`` the cycles the recorder handed to the live method.
-    """
+    live_function = ComplianceEngine._on_clk
+    owner_types = (ComplianceEngine, AhbProtocolChecker)
+    holds_live = True
 
     def __init__(self, live):
-        if not checker_batchable(live):
-            raise ValueError("%r is not a batchable checker" % (live,))
-        self.live = live
-        self.engine = live.__self__
-        bus = self.engine.bus
-        self._signals = (
+        bus = live.__self__.bus
+        signals = (
             (bus.htrans, bus.haddr, bus.hwrite, bus.hsize, bus.hburst,
              bus.hready, bus.hresp, bus.hmaster, bus.hmaster_d)
             + tuple(port.hsel for port in bus.slave_ports)
@@ -109,12 +86,11 @@ class CheckerBatch:
         self._sel = 9
         self._grant = self._sel + len(bus.slave_ports) + 1
         self._split = self._grant + len(bus.master_ports)
-        self._rows = []
-        #: ``[True]`` while every row must go to the live method.
-        self._live_only = [False]
-        self.rows_replayed = 0
-        self.live_diverts = 0
-        self.recorder = self._make_recorder()
+        # Codes the live rules raise on, and sizes NumPy shifts cannot
+        # hold; rows end with the time stamp.
+        super().__init__(live, signals, (
+            (_TRANS, 0, 3), (_RESP, 0, 3), (_BURST, 0, 7),
+            (_SIZE, 0, _MAX_SIZE)), stamp=live.__self__.sim)
 
     # -- eligibility ---------------------------------------------------
 
@@ -122,7 +98,7 @@ class CheckerBatch:
         """Per-run check: every effective severity is ``record`` and
         every rule is a distinct instance of a stock catalogue class
         (a rule listed twice interleaves its state cycle by cycle)."""
-        engine = self.engine
+        engine = self.owner
         if len({id(rule) for rule in engine.rules}) != len(engine.rules):
             return False
         for rule in engine.rules:
@@ -138,79 +114,22 @@ class CheckerBatch:
         """True when a burst is open with control values the live
         rule raises on at its next SEQ beat (left by a diverted row
         or a restored checkpoint)."""
-        for rule in self.engine.rules:
+        for rule in self.owner.rules:
             if type(rule) is BurstSequenceRule and rule._in_burst:
                 ctrl = rule._burst_ctrl
                 if not (0 <= ctrl[2] <= 7 and ctrl[1] >= 0):
                     return True
         return False
 
-    # -- recording -----------------------------------------------------
-
-    def _make_recorder(self):
-        """Emit the per-cycle recording closure (every signal a free
-        variable, so a cycle costs slot loads and one tuple append)."""
-        namespace = {
-            "_append": self._rows.append,
-            "_rows": self._rows,
-            "_cap": monitor_batch._FLUSH_ROWS,
-            "_flush": self.flush,
-            "_divert": self._divert,
-            "_live_only": self._live_only,
-            "_sim": self.engine.sim,
-        }
-        values = []
-        for index, signal in enumerate(self._signals):
-            namespace["_s%d" % index] = signal
-            values.append("_s%d._value" % index)
-        for index, name in ((_TRANS, "_vt"), (_SIZE, "_vs"),
-                            (_BURST, "_vb"), (_RESP, "_vr")):
-            values[index] = name
-        source = (
-            "def _rec():\n"
-            "    _vt = _s%d._value\n"
-            "    _vs = _s%d._value\n"
-            "    _vb = _s%d._value\n"
-            "    _vr = _s%d._value\n"
-            "    if (_live_only[0] or _vt > 3 or _vt < 0 or _vr > 3\n"
-            "            or _vr < 0 or _vb > 7 or _vb < 0 or _vs > %d\n"
-            "            or _vs < 0):\n"
-            "        return _divert()\n"
-            "    _append((%s, _sim.now))\n"
-            "    if len(_rows) >= _cap:\n"
-            "        _flush()\n"
-            % (_TRANS, _SIZE, _BURST, _RESP, _MAX_SIZE, ", ".join(values))
-        )
-        code = compile(source, "<repro.compiled.checker-recorder>", "exec")
-        exec(code, namespace)
-        return namespace["_rec"]
-
     def _divert(self):
-        """Hand this cycle to the live method, after the rows before
-        it; a raise propagates exactly as from the live slot."""
-        self.flush()
-        self.live_diverts += 1
-        self.live()
+        super()._divert()
         self._live_only[0] = self._burst_poisoned()
 
     # -- evaluation ----------------------------------------------------
 
-    def flush(self):
-        """Evaluate every recorded cycle, in order."""
-        rows = self._rows
-        if not rows:
-            return
-        try:
-            self._flush_np(rows)
-        except OverflowError:
-            # A recorded or stored value beyond int64; the NumPy phase
-            # converts everything before it mutates anything.
-            check = self.engine._check
-            cycle = self.engine.cycles_checked
-            for offset, row in enumerate(rows):
-                check(self._view(row, cycle + offset))
-        self.rows_replayed += len(rows)
-        rows.clear()
+    def _replay(self, row):
+        engine = self.owner
+        engine._check(self._view(row, engine.cycles_checked))
 
     def _view(self, row, cycle):
         """The :class:`CycleView` the live engine builds for *row*."""
@@ -235,7 +154,7 @@ class CheckerBatch:
                 + (view.split_mask, view.dactive, view.time))
 
     def _flush_np(self, rows):
-        engine = self.engine
+        engine = self.owner
         # Row 0 of the array is the row before the block (the stored
         # ``_prev``; on a fresh engine a stand-in that ``has_prev``
         # masks out), so current and previous rows are two views.

@@ -19,8 +19,9 @@ exactly, but with every dynamic lookup resolved at compile time:
 
 Every batched consumer (the power monitor, each compliance engine) has
 its call site emitted as a swappable module global named by the
-engine: before each run the engine points it at the consumer's
-recording closure or at its live method.
+engine: before each run the engine points it at the recorder of the
+consumer's batch (:mod:`repro.compiled.rowbatch`) or at its live
+method.
 """
 
 from __future__ import annotations

@@ -26,13 +26,15 @@ read → staged write functions, so the duplicate evaluation stages the
 same values and the round structure — hence ``delta_count`` — is
 unchanged; the equivalence suite enforces this.
 
-**Batched consumers.**  The power monitor and every compliance engine
-have their call sites emitted as swappable slots.  On a single-domain
-run the engine points a slot at the consumer's recorder — one tuple of
-committed values per cycle — and replays the rows at run end (also on
-an error or a stop), at the row cap, before a hand-off to the
-interpreted loop and before a generic edge.  Whether a consumer
-batches is decided at every run: the monitor batches unless a
+**Batched consumers.**  The stock power monitor and every stock
+compliance engine on a rising edge are found at compile time by their
+live function, and each gets a batch of the shared record/replay
+protocol (:mod:`repro.compiled.rowbatch`) and a swappable call site.
+On a single-domain run the engine points a slot at the consumer's
+recorder — one tuple of committed values per cycle — and replays the
+rows at run end (also on an error or a stop), at the row cap, before a
+hand-off to the interpreted loop and before a generic edge.  Whether a
+consumer batches is decided at every run: the monitor batches unless a
 power-FSM sink needs per-cycle time stamps
 (:mod:`repro.compiled.monitor_batch`); a
 :class:`~repro.protocol.ComplianceEngine` batches only when every
@@ -55,12 +57,16 @@ from ..kernel.errors import (
 )
 from ..kernel.events import MethodProcess, ThreadProcess
 from ..kernel.time import format_time
-from .checker_batch import CheckerBatch, checker_batchable
+from .checker_batch import CheckerBatch
 from .codegen import emit_module
 from .errors import CompileError
 from .graph import extract_graph
 from .levelize import levelize
-from .monitor_batch import MonitorBatch, batchable
+from .monitor_batch import MonitorBatch
+
+#: The stock per-cycle function of each batched consumer -> its batch.
+_BATCHES = {kind.live_function: kind
+            for kind in (MonitorBatch, CheckerBatch)}
 
 
 class CompiledEngine:
@@ -72,20 +78,13 @@ class CompiledEngine:
         The elaborated simulator to compile.
     clocks:
         Every :class:`~repro.kernel.clock.Clock` of the design.
-    monitor:
-        Optional power monitor; a batchable
-        :class:`~repro.power.monitors.GlobalPowerMonitor` gets the
-        record/replay fast path of
-        :mod:`repro.compiled.monitor_batch`.  Compliance engines need
-        no argument: every stock one on a rising edge gets the batch of
-        :mod:`repro.compiled.checker_batch`.
 
     Raises :class:`~repro.compiled.errors.CompileError` when the design
     cannot be statically scheduled (dynamic sensitivity, undeclared
     combinational writes, combinational cycles, ...).
     """
 
-    def __init__(self, sim, clocks, monitor=None):
+    def __init__(self, sim, clocks):
         self.sim = sim
         self.graph = extract_graph(sim, clocks)
         #: Combinational processes in topological (level) order; the
@@ -108,31 +107,17 @@ class CompiledEngine:
         self._domain_by_driver = {
             id(domain.driver): domain for domain in self.graph.domains}
 
-        self.monitor = monitor
-        #: The power monitor's batch, or None.
-        self.batch = None
-        #: One batch per compliance engine on a rising edge.
-        self.checker_batches = []
-        # (batch, live method, slot key) per batched call site
-        self._consumers = []
+        #: One batch per batched consumer, in rising-edge order.
+        self.batches = []
         slots = {}
-        monitor_bound = getattr(type(monitor), "_on_clk", None) \
-            if monitor is not None and batchable(monitor) else None
         for domain in self.graph.domains:
             for info in domain.seq_pos:
                 fn = info.process.fn
-                if monitor_bound is not None and \
-                        getattr(fn, "__self__", None) is monitor and \
-                        getattr(fn, "__func__", None) is monitor_bound:
-                    self.batch = MonitorBatch(monitor)
-                    batch = self.batch
-                elif checker_batchable(fn):
-                    batch = CheckerBatch(fn)
-                    self.checker_batches.append(batch)
-                else:
+                kind = _BATCHES.get(getattr(fn, "__func__", None))
+                if kind is None or not kind.batchable(fn.__self__):
                     continue
-                key = slots[id(info.process)] = "_slot_%d" % len(slots)
-                self._consumers.append((batch, fn, key))
+                self.batches.append(kind(fn))
+                slots[id(info.process)] = "_slot_%d" % len(slots)
 
         self._namespace = None       # filled by emit_module
         self._edges = emit_module(self, self.graph, slots)
@@ -281,12 +266,25 @@ class CompiledEngine:
         """Point every batched call site at its recorder or its live
         method; returns the batches recording this run."""
         active = []
-        for batch, live, key in self._consumers:
+        for key, batch in enumerate(self.batches):
             use = single_domain and batch.eligible()
-            self._namespace[key] = batch.recorder if use else live
+            self._namespace["_slot_%d" % key] = \
+                batch.recorder if use else batch.live
             if use:
                 active.append(batch)
         return tuple(active)
+
+    @property
+    def batch(self):
+        """The power monitor's batch, or None."""
+        return next((batch for batch in self.batches
+                     if isinstance(batch, MonitorBatch)), None)
+
+    @property
+    def checker_batches(self):
+        """The compliance engines' batches."""
+        return [batch for batch in self.batches
+                if isinstance(batch, CheckerBatch)]
 
     def _flush(self):
         """Replay every recording batch's buffered rows."""

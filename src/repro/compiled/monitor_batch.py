@@ -2,19 +2,22 @@
 
 The monitor's per-cycle step (activity sampling, four macromodel
 evaluations, FSM step, ledger charge) dominates interpreted runtime.
-In compiled mode the engine replaces the monitor's slot in the emitted
-rising-edge function with a *recorder* that appends one row of raw
-committed signal values per cycle, in the monitor's own
-:attr:`~GlobalPowerMonitor.columns` layout; :meth:`MonitorBatch.flush`
-then replays the accumulated cycles in one pass before control returns
-to the caller.
+In compiled mode the monitor is one consumer of the shared
+record/replay protocol (:mod:`repro.compiled.rowbatch`): its recorder
+appends the committed values in the monitor's own
+:attr:`~GlobalPowerMonitor.columns` layout, and a cycle with an HTRANS
+or HRESP code outside 0..3 or a bus owner outside ``-n..n-1`` runs the
+live monitor instead, so the error and the torn state it leaves are
+byte-identical.  This module keeps only what is the monitor's own:
+those columns and guards, the static and per-run eligibility checks
+and the NumPy replay.
 
 :meth:`GlobalPowerMonitor._step` is the one scalar reference for a
 cycle: the live monitor runs it on every clock edge, and the replay
-falls back to it row by row.  The NumPy replay here is the only other
-copy of that arithmetic, kept because it is the compiled engine's
-fast path.  Bit-identity with the scalar step is the contract, not an
-aspiration:
+falls back to it row by row when a value is beyond int64.  The NumPy
+replay here is the only other copy of that arithmetic, kept because it
+is the compiled engine's fast path.  Bit-identity with the scalar step
+is the contract, not an aspiration:
 
 * integer work (Hamming distances via ``np.bitwise_count``, ones
   counts, mode classification) is vectorized — integers are exact;
@@ -25,25 +28,15 @@ aspiration:
 * sequential float accumulators (ledger totals, per-instruction and
   per-response energy, per-master chargeback) are replayed by an
   in-order Python loop — float addition is not associative, so they
-  are never vectorized;
-* cycles whose recorded values *would* make the live monitor raise
-  (corrupted ``HRESP``/``HTRANS`` codes, an out-of-range bus owner)
-  are never batched: the recorder flushes and runs the live monitor so
-  the error — and the torn state it leaves — is byte-identical;
-* values NumPy cannot hold (beyond int64) make the replay call
-  ``_step`` for each recorded row instead.
+  are never vectorized.
 """
 
 from __future__ import annotations
 
-try:
-    import numpy as _np
-except ImportError:          # pragma: no cover - numpy is baked in
-    _np = None
-
 from ..power.instructions import BusMode, instruction_name
 from ..power.ledger import InstructionStats
 from ..power.monitors import GlobalPowerMonitor
+from .rowbatch import RowBatch, _np
 
 #: Fixed mode encoding used only inside the batch.
 _MODES = (BusMode.IDLE, BusMode.IDLE_HO, BusMode.READ, BusMode.WRITE)
@@ -55,12 +48,6 @@ _RESP_NAMES = ("OKAY", "ERROR", "RETRY", "SPLIT")
 #: Signal widths above this cannot be masked inside int64 arrays.
 _MAX_NP_WIDTH = 62
 
-#: Recorder rows buffered before an automatic flush.  Bounds batch
-#: memory on arbitrarily long runs (a row is one tuple per cycle);
-#: flush points are invisible to the replayed state, so the cap only
-#: trades peak memory against per-flush numpy overhead.
-_FLUSH_ROWS = 4096
-
 
 def _previous(values, first):
     """*values* delayed by one cycle, led by *first* — the value stored
@@ -71,129 +58,59 @@ def _previous(values, first):
     return prev
 
 
-def batchable(monitor):
-    """Static eligibility: can *monitor* be batch-replayed at all?
-
-    Requires NumPy, the stock :class:`GlobalPowerMonitor` (exact type —
-    a subclass may override anything), the paper's four-block
-    configuration (no clock tree / clock gating), non-negative model
-    coefficients (so the ledger's negative-energy guard can never
-    fire) and signal widths an int64 can mask.
-    """
-    if _np is None or type(monitor) is not GlobalPowerMonitor:
-        return False
-    if monitor._clock_tree_energy is not None or \
-            monitor.clock_gate is not None:
-        return False
-    if any(signal.width > _MAX_NP_WIDTH for signal in monitor.columns):
-        return False
-    m2s, s2m = monitor.m2s_model, monitor.s2m_model
-    dec, arb = monitor.decoder_model, monitor.arbiter_model
-    coeffs = (
-        m2s.path_coeff, m2s.select_coeff, m2s.output_coeff,
-        s2m.path_coeff, s2m.select_coeff, s2m.output_coeff,
-        dec.input_coeff, dec.output_coeff,
-        arb.request_coeff, arb.handover_coeff,
-        m2s.params.half_cv2, m2s.params.c_pd, m2s.params.c_o,
-        m2s.params.c_clk,
-    )
-    if any(coeff < 0 for coeff in coeffs):
-        return False
-    if dec.n_inputs > _MAX_NP_WIDTH:
-        return False
-    return True
-
-
-class MonitorBatch:
+class MonitorBatch(RowBatch):
     """Recorder + replayer for one :class:`GlobalPowerMonitor`."""
 
-    def __init__(self, monitor):
-        if not batchable(monitor):
-            raise ValueError("monitor %r is not batchable" % monitor.name)
-        self.monitor = monitor
-        self._rows = []
-        self.recorder = self._make_recorder()
+    live_function = GlobalPowerMonitor._on_clk
+    owner_types = (GlobalPowerMonitor,)
 
-    # -- recording -----------------------------------------------------
+    def __init__(self, live):
+        monitor = live.__self__
+        n_masters = len(monitor.master_energy)
+        # Codes the live step raises on: HTRANS and HRESP outside 0..3,
+        # a bus owner that does not index master_energy.
+        super().__init__(live, monitor.columns, (
+            (0, 0, 3), (monitor._s2m_col + 1, 0, 3),
+            (monitor._owner_col, -n_masters, n_masters - 1)))
 
-    def _make_recorder(self):
-        """Emit the per-cycle recording closure.
-
-        The closure is generated source so every signal is a free
-        variable bound once — the per-cycle cost is slot loads and one
-        tuple append.  Cycles that would make the live monitor raise
-        (invalid response/transfer codes, out-of-range owner) divert
-        to it instead, after flushing, so failure behaviour is exact.
-        """
-        monitor = self.monitor
-        columns = monitor.columns
-        names = []
-        namespace = {
-            "_append": self._rows.append,
-            "_rows": self._rows,
-            "_cap": _FLUSH_ROWS,
-            "_flush": self.flush,
-            "_live": monitor._on_clk,
-            "_nm": len(monitor.master_energy),
-        }
-        for index, signal in enumerate(columns):
-            namespace["_s%d" % index] = signal
-        resp_index = monitor._s2m_col + 1     # hresp within s2m group
-        owner_index = monitor._owner_col      # bus.hmaster
-        for index in range(len(columns)):
-            if index == 0:
-                names.append("_vt")
-            elif index == resp_index:
-                names.append("_vr")
-            elif index == owner_index:
-                names.append("_vo")
-            else:
-                names.append("_s%d._value" % index)
-        source = (
-            "def _rec():\n"
-            "    _vt = _s0._value\n"
-            "    _vr = _s%d._value\n"
-            "    _vo = _s%d._value\n"
-            "    if (_vt > 3 or _vt < 0 or _vr > 3 or _vr < 0\n"
-            "            or _vo >= _nm or _vo < -_nm):\n"
-            "        _flush()\n"
-            "        _live()\n"
-            "        return\n"
-            "    _append((%s))\n"
-            "    if len(_rows) >= _cap:\n"
-            "        _flush()\n" % (resp_index, owner_index,
-                                    ", ".join(names))
+    @classmethod
+    def batchable(cls, monitor):
+        """Static eligibility: the paper's four-block configuration (no
+        clock tree / clock gating), non-negative model coefficients (so
+        the ledger's negative-energy guard can never fire) and signal
+        widths an int64 can mask."""
+        if not super().batchable(monitor):
+            return False
+        if monitor._clock_tree_energy is not None or \
+                monitor.clock_gate is not None:
+            return False
+        if any(signal.width > _MAX_NP_WIDTH for signal in monitor.columns):
+            return False
+        m2s, s2m = monitor.m2s_model, monitor.s2m_model
+        dec, arb = monitor.decoder_model, monitor.arbiter_model
+        coeffs = (
+            m2s.path_coeff, m2s.select_coeff, m2s.output_coeff,
+            s2m.path_coeff, s2m.select_coeff, s2m.output_coeff,
+            dec.input_coeff, dec.output_coeff,
+            arb.request_coeff, arb.handover_coeff,
+            m2s.params.half_cv2, m2s.params.c_pd, m2s.params.c_o,
+            m2s.params.c_clk,
         )
-        code = compile(source, "<repro.compiled.monitor-recorder>", "exec")
-        exec(code, namespace)
-        return namespace["_rec"]
+        if any(coeff < 0 for coeff in coeffs):
+            return False
+        return dec.n_inputs <= _MAX_NP_WIDTH
 
     def eligible(self):
         """Per-run sinks check: a power-FSM sink that consumes
         per-cycle time stamps keeps the live monitor."""
-        fsm = self.monitor.fsm
+        fsm = self.owner.fsm
         return (fsm.traces is None and fsm.datafile is None
                 and fsm.instruction_log is None and fsm.tracer is None)
 
-    # -- replay --------------------------------------------------------
-
-    def flush(self):
-        """Replay every recorded cycle into the monitor, in order."""
-        rows = self._rows
-        if not rows:
-            return
-        try:
-            self._flush_np(_np.array(rows, dtype=_np.int64))
-        except OverflowError:
-            # A recorded or stored value beyond int64; the numpy phase
-            # is pure until every conversion succeeded, so nothing was
-            # mutated.  Replay through the monitor's own step instead.
-            # Batched cycles carry no time stamp: batching runs only
-            # when no sink consumes one (see :meth:`eligible`).
-            step = self.monitor._step
-            for row in rows:
-                step(row, 0)
-        rows.clear()
+    def _replay(self, row):
+        # Batched cycles carry no time stamp: batching runs only when
+        # no sink consumes one (see :meth:`eligible`).
+        self.owner._step(row, 0)
 
     # -- numpy replay --------------------------------------------------
 
@@ -221,8 +138,9 @@ class MonitorBatch:
             lasts.append(int(values[-1]))
         return total, hds, ones, lasts
 
-    def _flush_np(self, arr):
-        monitor = self.monitor
+    def _flush_np(self, rows):
+        monitor = self.owner
+        arr = _np.array(rows, dtype=_np.int64)
         count = arr.shape[0]
         cols = arr.T
         s2m_col, arb_col = monitor._s2m_col, monitor._arb_col
@@ -316,7 +234,7 @@ class MonitorBatch:
         plus the monitor's per-master chargeback for every cycle, with
         float additions in exactly the live order.
         """
-        monitor = self.monitor
+        monitor = self.owner
         fsm = monitor.fsm
         ledger = fsm.ledger
         blocks = ledger.block_energy

@@ -10,7 +10,10 @@
   :meth:`GlobalPowerMonitor._step`, run live on every clock edge and
   by the compiled engine's batched replay whenever NumPy cannot hold
   the recorded values; that replay's NumPy path
-  (:mod:`repro.compiled.monitor_batch`) is the only other copy.
+  (:mod:`repro.compiled.monitor_batch`) is the only other copy.  The
+  compiled engine finds a stock monitor by its ``_on_clk`` process, as
+  it finds compliance engines, and records both through one protocol
+  (:mod:`repro.compiled.rowbatch`).
 
 * :class:`LocalPowerMonitor` — "a particular process added to those
   already present in the module ... a system activity monitor".  It

@@ -22,10 +22,12 @@ Severity is configurable per engine and per rule:
 On the compiled engine (:mod:`repro.compiled`) a run in which every
 effective severity is ``record`` does not call :meth:`_on_clk` each
 cycle: the emitted edge function records the checked signal values
-instead, and :mod:`repro.compiled.checker_batch` evaluates the rules
-over the recorded rows at the engine's flush points (run end, the row
-cap, a hand-off to the interpreted loop), producing the identical
-violations, counters and rule state.  A run stays live, cycle by
+instead, through the record/replay protocol the power monitor uses
+too (:mod:`repro.compiled.rowbatch`), and
+:mod:`repro.compiled.checker_batch` evaluates the rules over the
+recorded rows at the engine's flush points (run end, the row cap, a
+hand-off to the interpreted loop), producing the identical violations,
+counters and rule state.  A run stays live, cycle by
 cycle, whenever a violation must act at its own cycle or the batch
 cannot prove it reproduces the rules: ``raise`` or ``warn`` severity
 (globally or through ``severity_overrides``), a rule that is not one

@@ -27,7 +27,7 @@ import os
 
 import pytest
 
-from repro.compiled import monitor_batch
+from repro.compiled import rowbatch
 from repro.kernel import FaultInjector, ProcessError, us
 from repro.protocol.rules import (
     BurstSequenceRule,
@@ -98,7 +98,7 @@ RULE_RUNS = {
 def _checker_batch(system):
     """The compiled engine's batch for the system's checker."""
     (batch,) = system.sim.scheduler.checker_batches
-    assert batch.engine is system.checker
+    assert batch.owner is system.checker
     return batch
 
 
@@ -177,7 +177,7 @@ class TestFlushBoundariesInvisible:
 
     @pytest.mark.parametrize("cap", [1, 7, 4096])
     def test_caps_and_checkpoints(self, monkeypatch, cap):
-        monkeypatch.setattr(monitor_batch, "_FLUSH_ROWS", cap)
+        monkeypatch.setattr(rowbatch, "_FLUSH_ROWS", cap)
         cut = set()
         for spec in self.SPECS:
             i_system, interpreted = self._chunked(spec, 7)

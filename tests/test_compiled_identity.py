@@ -14,7 +14,7 @@ also holds the batched compliance checker to the per-cycle one.
 import pytest
 
 from repro.amba.transactions import reset_txn_ids
-from repro.compiled import compile_system
+from repro.compiled import compile_simulator, compile_system
 from repro.kernel import us
 from repro.replay import FaultEntry, campaign_spec, execute
 from repro.state import CheckpointPlan
@@ -50,8 +50,9 @@ class TestPaperTestbenchIdentity:
         assert c_ledger == ledger
 
     def test_python_flush_fallback_matches_numpy(self, monkeypatch):
-        # _flush_py is the reference replay; the OverflowError path
-        # (values beyond int64) must land on identical state.
+        # GlobalPowerMonitor._step is the reference replay; the
+        # OverflowError path (values beyond int64) must land on
+        # identical state.
         digest, ledger, _ = _run_paper(compile_system)
 
         from repro.compiled.monitor_batch import MonitorBatch
@@ -70,10 +71,29 @@ class TestPaperTestbenchIdentity:
         # not depend on where the batch was cut.
         digest, ledger, _ = _run_paper(compile_system)
 
-        from repro.compiled import monitor_batch
-        monkeypatch.setattr(monitor_batch, "_FLUSH_ROWS", 32)
+        from repro.compiled import rowbatch
+        monkeypatch.setattr(rowbatch, "_FLUSH_ROWS", 32)
         c_digest, c_ledger, engine = _run_paper(compile_system)
         assert engine.batch is not None
+        assert c_digest == digest
+        assert c_ledger == ledger
+
+    def test_stock_monitor_batches_without_being_named(self):
+        # The engine finds the monitor by its live function, as it
+        # finds compliance engines; compile_simulator takes no monitor.
+        digest, ledger, _ = _run_paper()
+
+        monitors = []
+
+        def setup(testbench):
+            monitors.append(testbench.monitor)
+            return compile_simulator(testbench.sim, [testbench.clk])
+
+        c_digest, c_ledger, engine = _run_paper(setup)
+        assert engine.batch.owner is monitors[0]
+        assert engine.batch.rows_replayed > 0
+        assert engine.batch.live_diverts == 0
+        assert "batched_monitor=True" in repr(engine)
         assert c_digest == digest
         assert c_ledger == ledger
 
@@ -83,8 +103,9 @@ class TestPaperTestbenchIdentity:
         # just slower.
         digest, ledger, _ = _run_paper()
 
-        from repro.compiled import engine as engine_mod
-        monkeypatch.setattr(engine_mod, "batchable", lambda m: False)
+        from repro.compiled.rowbatch import RowBatch
+        monkeypatch.setattr(RowBatch, "batchable",
+                            classmethod(lambda cls, owner: False))
         c_digest, c_ledger, engine = _run_paper(compile_system)
         assert engine.batch is None
         assert engine.runs_compiled > 0, engine.fallback_reason
@@ -125,6 +146,11 @@ class TestInvalidCycleIdentity:
 
     def _observe(self, engine):
         system, outcome = execute(self.SPEC.replace(engine=engine))
+        if engine == "compiled":
+            # the glitched cycle ran live, the 100 before it replayed
+            batch = system.sim.scheduler.batch
+            assert batch.live_diverts == 1
+            assert batch.rows_replayed > 0
         return (outcome.outcome, outcome.detail, outcome.fingerprint(),
                 system.ledger.state_dict(), system.monitor.state_dict())
 

@@ -339,7 +339,7 @@ class TestCompiledLivePath:
             if sys.compiled is not None:
                 (batch,) = [batch for batch
                             in sys.compiled.checker_batches
-                            if batch.engine is facade]
+                            if batch.owner is facade]
                 replayed = batch.rows_replayed
                 assert replayed == facade.cycles_checked > 0
             facade.strict = True
