@@ -47,6 +47,7 @@ from .amba import (  # noqa: E402
 )
 from .faults import FaultInjector, run_fault_campaign  # noqa: E402
 from .kernel import Clock, MHz, Module, Signal, Simulator, ns, us  # noqa: E402
+from .kernel import simulator as _simulator  # noqa: E402
 from .power import (  # noqa: E402
     Activity,
     ArbiterEnergyModel,
@@ -69,6 +70,15 @@ from .replay import (  # noqa: E402
     shrink,
 )
 from .workloads import AhbSystem, build_paper_testbench  # noqa: E402
+
+
+def _load_batch_kinds():
+    """Register the power monitor's and compliance engines' record/replay
+    batches, which both engines run; imported on the first simulation."""
+    from . import compiled  # noqa: F401
+
+
+_simulator.load_batch_kinds = _load_batch_kinds
 
 __all__ = [
     "Activity",

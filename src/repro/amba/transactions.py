@@ -8,28 +8,13 @@ collected back onto the transaction object.
 
 from __future__ import annotations
 
-from .types import (
-    HBURST,
-    HRESP,
-    HSIZE,
-    aligned,
-    burst_addresses,
-    burst_beats,
-    size_bytes,
-)
+from .types import _BEATS, _WRAPS, HBURST, HRESP, HSIZE, burst_addresses
 
 # Transaction ids come from a process-wide counter.  It is resettable
 # (and capturable) so that replayed / checkpoint-restored runs assign
 # the same ids regardless of how many transactions earlier runs in the
 # same process created.
 _next_txn_id = 0
-
-
-def _take_txn_id():
-    global _next_txn_id
-    value = _next_txn_id
-    _next_txn_id += 1
-    return value
 
 
 def txn_id_counter():
@@ -93,55 +78,60 @@ class AhbTransaction:
     def __init__(self, write, address, data=None, hsize=HSIZE.WORD,
                  hburst=HBURST.SINGLE, beats=None, locked=False,
                  idle_cycles_before=0, busy_between_beats=0):
-        self.id = _take_txn_id()
-        self.write = bool(write)
-        self.address = int(address)
-        self.hsize = hsize if type(hsize) is HSIZE else HSIZE(hsize)
-        self.hburst = (hburst if type(hburst) is HBURST
-                       else HBURST(hburst))
+        global _next_txn_id
+        self.id = _next_txn_id
+        _next_txn_id += 1
+        self.write = write = bool(write)
+        self.address = address = int(address)
+        self.hsize = hsize = (hsize if type(hsize) is HSIZE
+                              else HSIZE(hsize))
+        self.hburst = hburst = (hburst if type(hburst) is HBURST
+                                else HBURST(hburst))
         self.locked = bool(locked)
         self.idle_cycles_before = int(idle_cycles_before)
         self.busy_between_beats = int(busy_between_beats)
 
-        fixed = burst_beats(self.hburst)
+        fixed = _BEATS[hburst]
         if fixed is None:
             if beats is None:
                 beats = 1 if data is None else len(data)
-            self.beats = int(beats)
+            self.beats = beats = int(beats)
         else:
-            self.beats = fixed
             if beats is not None and beats != fixed:
                 raise ValueError(
-                    "%s bursts have %d beats" % (self.hburst.name, fixed)
+                    "%s bursts have %d beats" % (hburst.name, fixed)
                 )
-        if self.beats < 1:
+            self.beats = beats = fixed
+        if beats < 1:
             raise ValueError("transaction needs at least one beat")
-        if not aligned(self.address, self.hsize):
+        step = 1 << hsize
+        if address % step:
             raise ValueError(
-                "address %#x unaligned for %s"
-                % (self.address, self.hsize.name)
+                "address %#x unaligned for %s" % (address, hsize.name)
             )
 
-        if self.write:
+        if write:
             if data is None:
                 raise ValueError("write transaction needs data")
-            data = list(data)
-            if len(data) != self.beats:
+            mask = (1 << (8 * step)) - 1
+            self.data = data = [value & mask for value in data]
+            if len(data) != beats:
                 raise ValueError(
                     "write burst of %d beats got %d data items"
-                    % (self.beats, len(data))
+                    % (beats, len(data))
                 )
-            mask = (1 << (8 * size_bytes(self.hsize))) - 1
-            self.data = [value & mask for value in data]
         else:
             if data is not None:
                 raise ValueError("read transaction takes no data")
             self.data = None
 
-        self.addresses = burst_addresses(
-            self.address, self.hburst, self.hsize,
-            beats=self.beats if fixed is None else None,
-        )
+        if beats == 1:
+            self.addresses = [address]
+        elif _WRAPS[hburst]:
+            self.addresses = burst_addresses(address, hburst, hsize)
+        else:
+            self.addresses = [address + index * step
+                              for index in range(beats)]
 
         # -- results filled in by the master BFM ------------------------
         self.rdata = []

@@ -55,18 +55,11 @@ class HSIZE(IntEnum):
     LINE32 = 0b111
 
 
-#: Burst kinds with a fixed beat count.
-_FIXED_BEATS = {
-    HBURST.SINGLE: 1,
-    HBURST.WRAP4: 4,
-    HBURST.INCR4: 4,
-    HBURST.WRAP8: 8,
-    HBURST.INCR8: 8,
-    HBURST.WRAP16: 16,
-    HBURST.INCR16: 16,
-}
-
-_WRAPPING = {HBURST.WRAP4, HBURST.WRAP8, HBURST.WRAP16}
+#: Architected beat count by ``HBURST`` code (``None``: INCR, undefined
+#: length), and whether each code wraps.  Indexed by code because an
+#: enum member hashes in Python, not in C, and these run per beat.
+_BEATS = (1, None, 4, 4, 8, 8, 16, 16)
+_WRAPS = (False, False, True, False, True, False, True, False)
 
 
 def size_bytes(hsize):
@@ -82,16 +75,14 @@ def burst_beats(hburst):
     """
     if type(hburst) is not HBURST:
         hburst = HBURST(hburst)
-    if hburst is HBURST.INCR:
-        return None
-    return _FIXED_BEATS[hburst]
+    return _BEATS[hburst]
 
 
 def is_wrapping(hburst):
     """True when *hburst* is one of the wrapping burst kinds."""
     if type(hburst) is not HBURST:
         hburst = HBURST(hburst)
-    return hburst in _WRAPPING
+    return _WRAPS[hburst]
 
 
 def aligned(address, hsize):
@@ -112,9 +103,9 @@ def next_burst_address(address, hburst, hsize):
     if type(hburst) is not HBURST:
         hburst = HBURST(hburst)
     step = size_bytes(hsize)
-    if hburst not in _WRAPPING:
+    if not _WRAPS[hburst]:
         return address + step
-    span = _FIXED_BEATS[hburst] * step
+    span = _BEATS[hburst] * step
     boundary = (address // span) * span
     return boundary + (address + step - boundary) % span
 
@@ -126,7 +117,7 @@ def burst_addresses(start, hburst, hsize, beats=None):
     """
     if type(hburst) is not HBURST:
         hburst = HBURST(hburst)
-    fixed = burst_beats(hburst)
+    fixed = _BEATS[hburst]
     if fixed is None:
         if beats is None:
             raise ValueError("INCR bursts need an explicit beat count")
@@ -143,7 +134,7 @@ def burst_addresses(start, hburst, hsize, beats=None):
             "start address %#x is not aligned for %s"
             % (start, HSIZE(hsize).name)
         )
-    if hburst not in _WRAPPING:
+    if not _WRAPS[hburst]:
         # Fast path: incrementing bursts are a fixed-stride range.
         step = size_bytes(hsize)
         return [start + index * step for index in range(beats)]

@@ -9,6 +9,7 @@ Table 1 were never published.
 
 from __future__ import annotations
 
+import tempfile
 import time
 
 from ..kernel import us
@@ -263,16 +264,21 @@ def run_overhead(seed=1, duration_ps=None, repeats=3):
     """Measure the simulation-time cost of power analysis.
 
     The paper reports "a doubling in the simulation time" with the
-    POWERTEST instrumentation compiled in.
+    POWERTEST instrumentation compiled in: a power FSM that evaluates
+    the macromodels every cycle and emits each cycle's energy to an
+    output file.  The gated ratio times that configuration (a
+    ``datafile`` keeps the monitor per-cycle).  The default monitor,
+    which records rows and replays them in blocks, is timed too and
+    its ratio reported without a gate.
     """
     duration_ps = duration_ps or us(50)
 
-    def timed(power_analysis, style):
+    def timed(power_analysis, style, datafile=None):
         best = float("inf")
         for _ in range(repeats):
             testbench = build_paper_testbench(
                 seed=seed, power_analysis=power_analysis,
-                monitor_style=style, checker=False,
+                monitor_style=style, checker=False, datafile=datafile,
             )
             start = time.perf_counter()
             testbench.run(duration_ps)
@@ -280,20 +286,28 @@ def run_overhead(seed=1, duration_ps=None, repeats=3):
         return best
 
     baseline = timed(False, "none")
-    instrumented = timed(True, "global")
+    with tempfile.TemporaryFile("w") as datafile:
+        instrumented = timed(True, "global", datafile)
+    batched = timed(True, "global")
     ratio = instrumented / baseline if baseline > 0 else float("inf")
+    batched_ratio = batched / baseline if baseline > 0 else float("inf")
 
     result = ExperimentResult(
         "Instrumentation overhead (POWERTEST on vs off)")
     result.tables["runtimes"] = comparison_table(
         [("functional only (POWERTEST off)", "%.3f s" % baseline),
-         ("with power analysis (global)", "%.3f s" % instrumented),
-         ("slowdown", "%.2fx (paper: ~2x)" % ratio)],
+         ("with power analysis + per-cycle energy file",
+          "%.3f s" % instrumented),
+         ("slowdown", "%.2fx (paper: ~2x)" % ratio),
+         ("with batched power analysis (no file)", "%.3f s" % batched),
+         ("batched slowdown (not gated)", "%.2fx" % batched_ratio)],
         ["Configuration", "Wall-clock"],
     )
     result.metrics["baseline_s"] = baseline
     result.metrics["instrumented_s"] = instrumented
     result.metrics["ratio"] = ratio
+    result.metrics["batched_s"] = batched
+    result.metrics["batched_ratio"] = batched_ratio
     result.check("instrumentation costs measurable but bounded time "
                  "(paper ~2x; accept 1.05-6x)",
                  1.05 <= ratio <= 6.0)

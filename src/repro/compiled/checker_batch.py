@@ -74,8 +74,9 @@ class CheckerBatch(RowBatch):
     owner_types = (ComplianceEngine, AhbProtocolChecker)
     holds_live = True
 
-    def __init__(self, live):
-        bus = live.__self__.bus
+    def __init__(self, process):
+        engine = process.fn.__self__
+        bus = engine.bus
         signals = (
             (bus.htrans, bus.haddr, bus.hwrite, bus.hsize, bus.hburst,
              bus.hready, bus.hresp, bus.hmaster, bus.hmaster_d)
@@ -88,9 +89,9 @@ class CheckerBatch(RowBatch):
         self._split = self._grant + len(bus.master_ports)
         # Codes the live rules raise on, and sizes NumPy shifts cannot
         # hold; rows end with the time stamp.
-        super().__init__(live, signals, (
+        super().__init__(process, signals, (
             (_TRANS, 0, 3), (_RESP, 0, 3), (_BURST, 0, 7),
-            (_SIZE, 0, _MAX_SIZE)), stamp=live.__self__.sim)
+            (_SIZE, 0, _MAX_SIZE)), stamp=engine.sim)
 
     # -- eligibility ---------------------------------------------------
 

@@ -27,10 +27,11 @@ same values and the round structure — hence ``delta_count`` — is
 unchanged; the equivalence suite enforces this.
 
 **Batched consumers.**  The stock power monitor and every stock
-compliance engine on a rising edge are found at compile time by their
-live function, and each gets a batch of the shared record/replay
-protocol (:mod:`repro.compiled.rowbatch`) and a swappable call site.
-On a single-domain run the engine points a slot at the consumer's
+compliance engine each have one batch of the shared record/replay
+protocol (:mod:`repro.compiled.rowbatch`), found by
+:attr:`Simulator.batches` and shared with the interpreted loop; the
+engine gives each whose consumer runs on a rising edge a swappable call
+site.  On a single-domain run it points the slot at the consumer's
 recorder — one tuple of committed values per cycle — and replays the
 rows at run end (also on an error or a stop), at the row cap, before a
 hand-off to the interpreted loop and before a generic edge.  Whether a
@@ -40,8 +41,8 @@ power-FSM sink needs per-cycle time stamps
 :class:`~repro.protocol.ComplianceEngine` batches only when every
 effective severity is ``record`` and every rule is a stock catalogue
 class (:mod:`repro.compiled.checker_batch`).  ``raise`` and ``warn``
-severity, custom rules, several clock domains and kernel observers
-keep the live per-cycle method.
+severity, custom rules and kernel observers keep the live per-cycle
+method on both engines; several clock domains keep it here.
 """
 
 from __future__ import annotations
@@ -63,10 +64,6 @@ from .errors import CompileError
 from .graph import extract_graph
 from .levelize import levelize
 from .monitor_batch import MonitorBatch
-
-#: The stock per-cycle function of each batched consumer -> its batch.
-_BATCHES = {kind.live_function: kind
-            for kind in (MonitorBatch, CheckerBatch)}
 
 
 class CompiledEngine:
@@ -107,17 +104,14 @@ class CompiledEngine:
         self._domain_by_driver = {
             id(domain.driver): domain for domain in self.graph.domains}
 
-        #: One batch per batched consumer, in rising-edge order.
-        self.batches = []
-        slots = {}
-        for domain in self.graph.domains:
-            for info in domain.seq_pos:
-                fn = info.process.fn
-                kind = _BATCHES.get(getattr(fn, "__func__", None))
-                if kind is None or not kind.batchable(fn.__self__):
-                    continue
-                self.batches.append(kind(fn))
-                slots[id(info.process)] = "_slot_%d" % len(slots)
+        #: The simulator's batches whose consumer runs on a rising
+        #: edge; each gets a call-site slot.
+        rising = {id(info.process) for domain in self.graph.domains
+                  for info in domain.seq_pos}
+        self.batches = [batch for batch in sim.batches
+                        if id(batch.process) in rising]
+        slots = {id(batch.process): "_slot_%d" % key
+                 for key, batch in enumerate(self.batches)}
 
         self._namespace = None       # filled by emit_module
         self._edges = emit_module(self, self.graph, slots)

@@ -64,12 +64,12 @@ class MonitorBatch(RowBatch):
     live_function = GlobalPowerMonitor._on_clk
     owner_types = (GlobalPowerMonitor,)
 
-    def __init__(self, live):
-        monitor = live.__self__
+    def __init__(self, process):
+        monitor = process.fn.__self__
         n_masters = len(monitor.master_energy)
         # Codes the live step raises on: HTRANS and HRESP outside 0..3,
         # a bus owner that does not index master_energy.
-        super().__init__(live, monitor.columns, (
+        super().__init__(process, monitor.columns, (
             (0, 0, 3), (monitor._s2m_col + 1, 0, 3),
             (monitor._owner_col, -n_masters, n_masters - 1)))
 

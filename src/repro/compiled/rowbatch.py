@@ -1,15 +1,21 @@
 """The record/replay protocol shared by every batched bus observer.
 
-On a single-domain compiled run, a consumer that observes the bus every
-rising edge (the power monitor, each compliance engine) does not run
-its per-cycle method: the engine points the consumer's call site at a
-generated *recorder* that appends one tuple of committed values per
-cycle, and :meth:`RowBatch.flush` hands the buffered rows to the
-consumer's block kernel at the engine's flush points (run end, the row
-cap, a hand-off to the interpreted loop, a generic edge).
+A consumer that observes the bus every rising edge (the power monitor,
+each compliance engine) does not run its per-cycle method while it
+batches: its call site points at a generated *recorder* that appends
+one tuple of committed values per cycle, and :meth:`RowBatch.flush`
+hands the buffered rows to the consumer's block kernel.  Both engines
+use the same batch object, found once per consumer by
+:attr:`repro.kernel.Simulator.batches`: the interpreted loop points the
+consumer's process at the recorder for the run and flushes on every
+exit; the compiled engine swaps a slot in its emitted rising edge and
+also flushes at the row cap, before a hand-off to the interpreted loop
+and before a generic edge.
 
 :class:`RowBatch` owns everything that is the same for every consumer:
 
+* registration of each kind under the function it records
+  (:data:`repro.kernel.simulator.BATCH_KINDS`);
 * the recorder, emitted as source so every column is a free variable
   bound once — a cycle costs slot loads, one tuple append and one
   length check;
@@ -31,6 +37,8 @@ try:
 except ImportError:          # pragma: no cover - numpy is baked in
     _np = None
 
+from ..kernel.simulator import BATCH_KINDS
+
 #: Recorder rows buffered before an automatic flush.  Bounds batch
 #: memory on arbitrarily long runs (a row is one tuple per cycle);
 #: flush points are invisible to the replayed state, so the cap only
@@ -39,13 +47,14 @@ _FLUSH_ROWS = 4096
 
 
 class RowBatch:
-    """Recorder + replayer for one consumer's live method *live*.
+    """Recorder + replayer for the live method of one consumer's
+    *process*.
 
-    A subclass defines ``eligible()`` (does this run record?),
-    ``_flush_np(rows)`` (the NumPy block kernel) and ``_replay(row)``
-    (the scalar reference for one row).  ``rows_replayed`` counts the
-    recorded rows a flush handed to the consumer, ``live_diverts`` the
-    cycles the recorder ran live.
+    A subclass sets ``live_function`` and defines ``eligible()`` (does
+    this run record?), ``_flush_np(rows)`` (the NumPy block kernel) and
+    ``_replay(row)`` (the scalar reference for one row).
+    ``rows_replayed`` counts the recorded rows a flush handed to the
+    consumer, ``live_diverts`` the cycles the recorder ran live.
     """
 
     #: The stock per-cycle function this batch replaces.
@@ -57,13 +66,18 @@ class RowBatch:
     #: following cycles live too.
     holds_live = False
 
-    def __init__(self, live, columns, guards, stamp=None):
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        BATCH_KINDS[cls.live_function] = cls
+
+    def __init__(self, process, columns, guards, stamp=None):
         """*columns* are the signals a row records, in order; each
         ``(column, low, high)`` of *guards* sends a cycle whose value
         lies outside ``low..high`` to the live method; a row ends with
         ``stamp.now`` when *stamp* is given."""
-        self.live = live
-        self.owner = live.__self__
+        self.process = process
+        self.live = process.fn
+        self.owner = self.live.__self__
         self._rows = []
         #: ``[True]`` while every cycle must run live.
         self._live_only = [False]

@@ -31,6 +31,17 @@ from .errors import (
 from .events import Event, MethodProcess, ThreadProcess
 from .time import format_time
 
+#: The record/replay batch kind of each stock per-cycle consumer,
+#: keyed by the function of the method it records.  Every kind
+#: registers itself (:class:`repro.compiled.rowbatch.RowBatch`); the
+#: kernel only looks method processes up here and imports no consumer.
+BATCH_KINDS = {}
+
+#: Imports the modules that fill :data:`BATCH_KINDS`.  The ``repro``
+#: package sets it and discovery calls it, so a process that never
+#: runs a simulation never imports them.
+load_batch_kinds = None
+
 
 class Simulator:
     """Owner of simulated time, processes, signals and events.
@@ -71,6 +82,8 @@ class Simulator:
         # spares instead of allocating fresh lists every delta cycle.
         self._spare_runnable = []
         self._spare_updates = []
+        self._batches = ()
+        self._batch_scan = 0
 
     # -- construction hooks (used by Signal / Module / processes) ------
 
@@ -198,6 +211,30 @@ class Simulator:
     def observer(self):
         """The attached kernel observer, or None."""
         return self._observer
+
+    @property
+    def batches(self):
+        """The record/replay batch of every batchable stock per-cycle
+        consumer (the power monitor, each compliance engine), one per
+        consumer and shared by both engines.
+
+        A batch counts ``rows_replayed`` and ``live_diverts``, so a run
+        can tell which path ran.  Processes are looked up in
+        :data:`BATCH_KINDS` once, when first seen.
+        """
+        processes = self._processes
+        if self._batch_scan < len(processes):
+            if load_batch_kinds is not None:
+                load_batch_kinds()
+            found = list(self._batches)
+            for process in processes[self._batch_scan:]:
+                fn = getattr(process, "fn", None)
+                kind = BATCH_KINDS.get(getattr(fn, "__func__", None))
+                if kind is not None and kind.batchable(fn.__self__):
+                    found.append(kind(process))
+            self._batches = tuple(found)
+            self._batch_scan = len(processes)
+        return self._batches
 
     # -- state capture / restore ----------------------------------------
 
@@ -463,6 +500,12 @@ class Simulator:
         partially executed run back (e.g. on encountering a timed entry
         it cannot handle) calls this directly, passing its own
         ``wall_start`` so the wall-clock budget spans the whole run.
+
+        With no observer attached, every eligible :attr:`batches`
+        consumer records instead of running its per-cycle method: its
+        process calls the batch's recorder, and the rows are replayed
+        on every exit (return, stop, error, deadline, interrupt) before
+        the live method is restored.
         """
         steps = 0
         if wall_start is None and wall_clock_budget is not None:
@@ -473,26 +516,36 @@ class Simulator:
         dispatch = self._dispatch_timed
         timed = self._timed
         monotonic = _time.monotonic
-        while True:
-            settle()
-            if self._stop_requested:
-                break
-            if wall_start is not None:
-                elapsed = monotonic() - wall_start
-                if elapsed > wall_clock_budget:
-                    raise WallClockDeadlineError(
-                        elapsed, wall_clock_budget, self.now)
-            if not timed:
-                break
-            next_time = timed[0][0]
-            if until is not None and next_time > until:
-                self.now = until
-                break
-            self.now = next_time
-            dispatch(next_time)
-            steps += 1
-            if max_time_steps is not None and steps >= max_time_steps:
-                break
+        recording = () if self._observer is not None else tuple(
+            batch for batch in self.batches if batch.eligible())
+        for batch in recording:
+            batch.process.fn = batch.recorder
+        try:
+            while True:
+                settle()
+                if self._stop_requested:
+                    break
+                if wall_start is not None:
+                    elapsed = monotonic() - wall_start
+                    if elapsed > wall_clock_budget:
+                        raise WallClockDeadlineError(
+                            elapsed, wall_clock_budget, self.now)
+                if not timed:
+                    break
+                next_time = timed[0][0]
+                if until is not None and next_time > until:
+                    self.now = until
+                    break
+                self.now = next_time
+                dispatch(next_time)
+                steps += 1
+                if max_time_steps is not None and steps >= max_time_steps:
+                    break
+        finally:
+            for batch in recording:
+                batch.process.fn = batch.live
+            for batch in recording:
+                batch.flush()
         return self.now
 
     # -- scheduler internals ---------------------------------------------

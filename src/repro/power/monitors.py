@@ -7,13 +7,16 @@
   evaluates the sub-block macromodels every cycle and drives the
   power FSM.  This is the reference model used for all paper
   experiments.  Its per-cycle arithmetic lives in one scalar method,
-  :meth:`GlobalPowerMonitor._step`, run live on every clock edge and
-  by the compiled engine's batched replay whenever NumPy cannot hold
-  the recorded values; that replay's NumPy path
-  (:mod:`repro.compiled.monitor_batch`) is the only other copy.  The
-  compiled engine finds a stock monitor by its ``_on_clk`` process, as
-  it finds compliance engines, and records both through one protocol
-  (:mod:`repro.compiled.rowbatch`).
+  :meth:`GlobalPowerMonitor._step`, run on every clock edge by the
+  live method and by the batched replay whenever NumPy cannot hold the
+  recorded values; that replay's NumPy path
+  (:mod:`repro.compiled.monitor_batch`) is the only other copy.  On
+  both engines a stock monitor, found by its ``_on_clk`` process as
+  compliance engines are, records one row per cycle and is replayed
+  in blocks through one protocol (:mod:`repro.compiled.rowbatch`);
+  the live method runs per cycle only when a power-FSM sink needs
+  per-cycle time stamps, a clock gate or clock tree is configured, or
+  a kernel observer is attached.
 
 * :class:`LocalPowerMonitor` — "a particular process added to those
   already present in the module ... a system activity monitor".  It

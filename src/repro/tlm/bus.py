@@ -53,19 +53,19 @@ class TlmArbiter:
         if self.policy == Arbitration.FIXED_PRIORITY:
             if owner_chained and owner in ready:
                 return owner
-            return min(ready)
+            return ready[0]
         if self.policy == Arbitration.TDMA:
             slot_index = ((cycle // self.tdma_slot_cycles)
                           % len(self._tdma_masters))
             slot = self._tdma_masters[slot_index]
-            return slot if slot in ready else min(ready)
+            return slot if slot in ready else ready[0]
         # round-robin: first ready index after the pointer
         for offset in range(1, self.n_masters + 1):
             candidate = (self._rr_pointer + offset) % self.n_masters
             if candidate in ready:
                 self._rr_pointer = candidate
                 return candidate
-        return min(ready)  # pragma: no cover - ready is non-empty
+        return ready[0]  # pragma: no cover - ready is non-empty
 
 
 class TlmDecoder:

@@ -30,8 +30,8 @@ up front by :func:`repro.tlm.execute_tlm`.
 
 from __future__ import annotations
 
-import math
 import time as _time
+from math import floor
 
 from ..amba.config import Arbitration
 from ..amba.watchdog import WatchdogEvent
@@ -47,11 +47,21 @@ RESPONSE_CYCLES = 2
 #: Main-loop iterations between wall-clock deadline checks.
 _DEADLINE_STRIDE = 4096
 
-#: Precomputed ``(previous, current) -> "<FROM>_<TO>"`` names — the
-#: emit path classifies every mode run and string formatting would
-#: otherwise show up in profiles.
-_INSTR_NAMES = {(src, dst): instruction_name(src, dst)
-                for src in BusMode for dst in BusMode}
+#: The four bus modes by the small-int code the emit path carries (an
+#: enum member hashes in Python, and every mode run is classified).
+_MODES = (BusMode.IDLE, BusMode.IDLE_HO, BusMode.READ, BusMode.WRITE)
+_IDLE, _IDLE_HO, _READ, _WRITE = range(4)
+
+#: Response tags a mode run can carry (``None``: a plain transfer).
+_RESPONSES = (None, "RETRY", "ERROR", "SPLIT", "STALL")
+#: Index of each ``(instruction, response)`` bucket a mode run is
+#: counted in: ``16 * response + 4 * previous + current``, so the emit
+#: path counts in a flat list and formats no string.
+_BUCKETS = tuple((instruction_name(src, dst), response)
+                 for response in _RESPONSES
+                 for src in _MODES for dst in _MODES)
+_BUCKET_BASE = {response: 16 * index
+                for index, response in enumerate(_RESPONSES)}
 
 
 class TlmFidelityError(ValueError):
@@ -174,9 +184,9 @@ class TlmSystem:
         self.handover_cycles = table.handover_cycles
         self.latency_bias = table.latency_bias_for(scenario)
 
-        #: ``(instruction, response) -> cycle count`` mode-run buckets.
-        self._instr_counts = {}
-        self._prev_mode = BusMode.IDLE
+        #: Cycle count per :data:`_BUCKETS` entry.
+        self._counts = [0] * len(_BUCKETS)
+        self._prev_mode = _IDLE
         self._cycle = 0
         self._budget = 0
         self._beats_served = {}
@@ -185,20 +195,19 @@ class TlmSystem:
     # -- emission ----------------------------------------------------------
 
     def _emit(self, mode, count, response=None):
-        """Account *count* cycles of *mode*; returns cycles actually
-        emitted (clipped to the run budget) and advances bus time."""
+        """Account *count* cycles of *mode* (a mode code); returns
+        cycles actually emitted (clipped to the run budget) and
+        advances bus time."""
         available = self._budget - self._cycle
         if count > available:
             count = available
         if count <= 0:
             return 0
-        counts = self._instr_counts
-        names = _INSTR_NAMES
-        key = (names[self._prev_mode, mode], response)
-        counts[key] = counts.get(key, 0) + 1
+        counts = self._counts
+        base = _BUCKET_BASE[response]
+        counts[base + 4 * self._prev_mode + mode] += 1
         if count > 1:
-            key = (names[mode, mode], response)
-            counts[key] = counts.get(key, 0) + count - 1
+            counts[base + 5 * mode] += count - 1
         self._prev_mode = mode
         self._cycle += count
         return count
@@ -218,7 +227,9 @@ class TlmSystem:
         # .warmup_factor).
         factor = self._table.warmup_factor(self._scenario, self._cycle)
         stall_energy = self._table.stall_energy_j
-        buckets = sorted(self._instr_counts.items(),
+        buckets = sorted(((_BUCKETS[index], count)
+                          for index, count in enumerate(self._counts)
+                          if count),
                          key=lambda item: (item[0][0], item[0][1] or ""))
         for (instruction, response), count in buckets:
             if response == "STALL":
@@ -248,13 +259,16 @@ class TlmSystem:
 
     def _complete(self, master, txn, error=False, aborted=False,
                   abort_reason=None):
-        issue_cycle = txn.issue_time // self.period
-        master.bias_acc += self.latency_bias
-        shift = math.floor(master.bias_acc)
-        master.bias_acc -= shift
-        complete_cycle = max(self._cycle + shift, issue_cycle + 1)
-        txn.complete_time = complete_cycle * self.period
-        txn.error = bool(error)
+        period = self.period
+        acc = master.bias_acc + self.latency_bias
+        shift = floor(acc)
+        master.bias_acc = acc - shift
+        complete_cycle = self._cycle + shift
+        issue_next = txn.issue_time // period + 1
+        if complete_cycle < issue_next:
+            complete_cycle = issue_next
+        txn.complete_time = complete_cycle * period
+        txn.error = error
         txn.abort_reason = abort_reason
         txn.done = True
         master.completed.append(txn)
@@ -337,11 +351,11 @@ class TlmSystem:
         watchdog = self.watchdog
         self._emit(mode, 1)
         if watchdog is None:
-            self._emit(BusMode.IDLE, self._budget - self._cycle,
+            self._emit(_IDLE, self._budget - self._cycle,
                        response="STALL")
             return
         while True:
-            if self._emit(BusMode.IDLE, watchdog.hready_timeout,
+            if self._emit(_IDLE, watchdog.hready_timeout,
                           response="STALL") < watchdog.hready_timeout:
                 return
             recovered = watchdog.recover
@@ -395,7 +409,7 @@ class TlmSystem:
     def _transfer(self, master):
         txn = master.pending
         slave = self.decoder.decode(txn.address)
-        mode = BusMode.WRITE if txn.write else BusMode.READ
+        mode = _WRITE if txn.write else _READ
         txn.issue_time = self._cycle * self.period
         if slave is None:
             # Decode miss: the default slave answers with a two-cycle
@@ -404,7 +418,7 @@ class TlmSystem:
                           response="ERROR") == RESPONSE_CYCLES:
                 self._complete(master, txn, error=True)
             return
-        fault = self._fault_for(slave)
+        fault = self._fault_for(slave) if self.faults else None
         if fault is not None:
             handler = self._FAULT_HANDLERS.get(fault.mode)
             if handler is None:
@@ -418,7 +432,7 @@ class TlmSystem:
             # BUSY cycles fold into IDLE in the four-mode alphabet.
             for beat in range(txn.beats):
                 if beat and self._emit(
-                        BusMode.IDLE,
+                        _IDLE,
                         txn.busy_between_beats) < txn.busy_between_beats:
                     return
                 if self._emit(mode, beat_cost) < beat_cost:
@@ -427,7 +441,8 @@ class TlmSystem:
         else:
             cost = txn.beats * beat_cost
             emitted = self._emit(mode, cost)
-            self._count_beats(slave, emitted // beat_cost)
+            if self.faults:
+                self._count_beats(slave, emitted // beat_cost)
             if emitted < cost:
                 return
         self._complete(master, txn)
@@ -437,9 +452,14 @@ class TlmSystem:
     def run(self, duration_ps, wall_clock_budget=None):
         """Advance the bus by ``duration_ps`` of simulated time."""
         self._budget += int(duration_ps) // self.period
+        budget = self._budget
         masters = self.masters
-        arbiter = self.arbiter
-        owner = arbiter.default_master
+        n_masters = len(masters)
+        pick = self.arbiter.pick
+        emit = self._emit
+        transfer = self._transfer
+        faults = self.faults
+        owner = self.arbiter.default_master
         owner_release = 0
         deadline = (None if wall_clock_budget is None
                     else _time.monotonic() + wall_clock_budget)
@@ -447,7 +467,7 @@ class TlmSystem:
         for master in masters:
             if master.pending is None and not master.exhausted:
                 self._refill(master, self._cycle)
-        while self._cycle < self._budget:
+        while self._cycle < budget:
             iterations += 1
             if deadline is not None and \
                     iterations % _DEADLINE_STRIDE == 0 and \
@@ -457,46 +477,48 @@ class TlmSystem:
                 raise WallClockDeadlineError(
                     "tlm wall-clock budget of %.1fs exceeded at bus "
                     "cycle %d" % (wall_clock_budget, self._cycle))
-            if self.faults:
+            if faults:
                 # Split-blocking only ever arises from an armed fault,
                 # so fault-free runs skip the per-iteration scan.
                 self._service_split_timeouts()
             cycle = self._cycle
-            ready = [master.index for master in masters
-                     if master.pending is not None
-                     and not master.split_blocked
-                     and master.ready_cycle <= cycle]
-            if not ready:
-                wake = None
-                for master in masters:
-                    if master.pending is None:
-                        continue
-                    if master.split_blocked:
-                        pending = master.split_event_cycle
-                    else:
-                        pending = master.ready_cycle
-                    if pending is not None and \
-                            (wake is None or pending < wake):
-                        wake = pending
-                if wake is None:
-                    target = self._budget
+            # One pass: the masters ready now, and else the earliest
+            # cycle one of them can become ready.
+            ready = []
+            wake = None
+            for master in masters:
+                if master.pending is None:
+                    continue
+                if master.split_blocked:
+                    pending = master.split_event_cycle
                 else:
-                    target = min(self._budget, max(wake, cycle + 1))
+                    pending = master.ready_cycle
+                    if pending <= cycle:
+                        ready.append(master.index)
+                        continue
+                if pending is not None and \
+                        (wake is None or pending < wake):
+                    wake = pending
+            if not ready:
+                target = (budget if wake is None
+                          else wake if wake > cycle else cycle + 1)
+                if target > budget:
+                    target = budget
                 # Parked on the default master: the cycle-accurate
                 # monitor classifies these gap cycles as IDLE_HO.
-                self._emit(BusMode.IDLE_HO, target - cycle)
+                emit(_IDLE_HO, target - cycle)
                 continue
-            chained = (owner < len(masters)
+            chained = (owner < n_masters
                        and masters[owner].ready_cycle <= owner_release)
-            winner = arbiter.pick(ready, owner, chained, cycle)
+            winner = pick(ready, owner, chained, cycle)
             if winner != owner:
                 self.handover_count += 1
                 owner = winner
-                if self.handover_cycles and self._emit(
-                        BusMode.IDLE_HO,
+                if self.handover_cycles and emit(
+                        _IDLE_HO,
                         self.handover_cycles) < self.handover_cycles:
                     break
-            self._transfer(masters[winner])
+            transfer(masters[winner])
             owner_release = self._cycle
         self._finalize_energy()
         self.clk.cycles = self._cycle

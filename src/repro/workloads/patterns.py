@@ -192,7 +192,8 @@ class DmaBurstSource(BoundedSource):
         write = self._write_next
         self._write_next = not self._write_next
         if write:
-            data = [self.rng.getrandbits(8 * step) for _ in range(beats)]
+            getrandbits = self.rng.getrandbits
+            data = [getrandbits(8 * step) for _ in range(beats)]
             return AhbTransaction(True, address, data=data,
                                   hburst=self.burst, hsize=self.hsize,
                                   idle_cycles_before=idle)
@@ -230,22 +231,24 @@ class CpuLikeSource(BoundedSource):
         self._region = (base, size)
 
     def _generate(self, now):
+        rng = self.rng
         step = size_bytes(self.hsize)
         base, size = self._region
-        if self.rng.random() < self.jump_probability:
-            self._region = self.rng.choice(self.regions)
+        if rng.random() < self.jump_probability:
+            self._region = rng.choice(self.regions)
             base, size = self._region
-            self._cursor = base + \
-                self.rng.randrange(0, size // step) * step
+            self._cursor = base + rng.randrange(0, size // step) * step
         address = self._cursor
         self._cursor += step
         if self._cursor >= base + size:
             self._cursor = base
-        idle = self.rng.randint(*self.idle_range)
-        if self.rng.random() < self.read_fraction:
+        # randint(low, high) is randrange(low, high + 1): the same draw
+        low, high = self.idle_range
+        idle = rng.randrange(low, high + 1)
+        if rng.random() < self.read_fraction:
             return AhbTransaction(False, address, hsize=self.hsize,
                                   idle_cycles_before=idle)
-        data = self.rng.getrandbits(8 * step)
+        data = rng.getrandbits(8 * step)
         return AhbTransaction(True, address, data=[data],
                               hsize=self.hsize,
                               idle_cycles_before=idle)

@@ -1,21 +1,32 @@
-"""Bit-identity oracle for the compiled engine.
+"""Bit-identity oracle for the compiled engine and for batching.
 
 The compiled engine's whole value rests on one claim: for any run the
 interpreted kernel can execute, compiling first changes *nothing* —
 not the state digest, not the energy ledger down to the last bit, not
-the outcome fingerprint.  These tests attack that claim from several
-directions: the paper testbench directly, the monitor batch's NumPy
-and pure-Python replay paths, flush-cap boundaries, the live-monitor
-slot used when batching is ineligible, checkpointed digest streams,
-and a Hypothesis sweep over scenarios, fault schedules and seeds that
-also holds the batched compliance checker to the per-cycle one.
+the outcome fingerprint.  The record/replay batches make the same
+claim on both engines: a run whose power monitor and compliance
+engine record rows and replay them in blocks ends in the state the
+per-cycle methods reach (a kernel observer keeps them per-cycle).
+These tests attack both claims from several directions: the paper
+testbench directly, the monitor batch's NumPy and pure-Python replay
+paths, flush-cap boundaries, the live-monitor slot used when batching
+is ineligible, every exit path of an interpreted run, checkpointed
+digest streams, and a Hypothesis sweep over scenarios, fault schedules
+and seeds that holds interpreted-batched, interpreted-per-cycle and
+compiled runs to one another.
 """
+
+import itertools
+import time
+import types
 
 import pytest
 
 from repro.amba.transactions import reset_txn_ids
 from repro.compiled import compile_simulator, compile_system
+from repro.compiled.monitor_batch import MonitorBatch
 from repro.kernel import us
+from repro.faults.campaign import CONTAINED_OUTCOMES
 from repro.replay import FaultEntry, campaign_spec, execute
 from repro.state import CheckpointPlan
 from repro.workloads import build_paper_testbench
@@ -113,6 +124,140 @@ class TestPaperTestbenchIdentity:
         assert c_ledger == ledger
 
 
+class _NoOpObserver:
+    """A kernel observer that records nothing.  Attaching one keeps
+    every consumer on its per-cycle method on both engines."""
+
+    def on_process(self, process, now, seconds):
+        pass
+
+    def on_settle(self, now, deltas):
+        pass
+
+
+def _per_cycle(system):
+    """``execute`` instrument: force the live per-cycle path."""
+    system.sim.attach_observer(_NoOpObserver())
+
+
+def _rows(sim):
+    """Rows each batch of *sim* replayed, by batch kind."""
+    return {type(batch).__name__: batch.rows_replayed
+            for batch in sim.batches}
+
+
+def _consumer_state(testbench):
+    return (testbench.monitor.state_dict(),
+            testbench.checker.state_dict(),
+            testbench.ledger.state_dict())
+
+
+class TestInterpretedBatchIdentity:
+    """The interpreted loop records and replays the power monitor and
+    the compliance engine through the compiled engine's batches; every
+    run must end where the per-cycle methods end."""
+
+    def _paper(self, per_cycle):
+        reset_txn_ids()
+        testbench = build_paper_testbench(seed=1)   # checker: record
+        if per_cycle:
+            _per_cycle(testbench)
+        return testbench
+
+    @pytest.mark.parametrize("cap", (1, 7, 4096))
+    def test_row_caps_are_invisible(self, monkeypatch, cap):
+        live = self._paper(per_cycle=True)
+        live.run(us(DURATION_US))
+
+        from repro.compiled import rowbatch
+        monkeypatch.setattr(rowbatch, "_FLUSH_ROWS", cap)
+        batched = self._paper(per_cycle=False)
+        batched.run(us(DURATION_US))
+
+        cycles = batched.clk.cycles
+        assert _rows(batched.sim) == {"MonitorBatch": cycles,
+                                      "CheckerBatch": cycles}
+        assert _rows(live.sim) == {"MonitorBatch": 0, "CheckerBatch": 0}
+        assert _consumer_state(batched) == _consumer_state(live)
+        assert batched.snapshot().digest == live.snapshot().digest
+
+    @pytest.mark.parametrize("exit_path",
+                             ("stop", "error", "interrupt", "deadline"))
+    def test_every_exit_path_flushes_then_restores(self, monkeypatch,
+                                                   exit_path):
+        from repro.kernel import simulator
+
+        observed = []
+        for per_cycle in (True, False):
+            testbench = self._paper(per_cycle)
+            sim, clk = testbench.sim, testbench.clk
+
+            def trip():
+                if clk.cycles != 777:
+                    return
+                if exit_path == "stop":
+                    sim.stop()
+                elif exit_path == "error":
+                    raise ValueError("tripped")
+                elif exit_path == "interrupt":
+                    raise KeyboardInterrupt
+
+            sim.add_method(trip, [clk.posedge], name="trip",
+                           initialize=False)
+            budget = None
+            if exit_path == "deadline":
+                # a host clock that ticks once per read: the deadline
+                # falls on the same time step in both runs
+                ticks = itertools.count()
+                clock = types.SimpleNamespace(
+                    monotonic=lambda: next(ticks),
+                    perf_counter=time.perf_counter)
+                monkeypatch.setattr(simulator, "_time", clock)
+                budget = 1500
+            try:
+                sim.run(until=us(DURATION_US), wall_clock_budget=budget)
+                raised = None
+            except (Exception, KeyboardInterrupt) as exc:
+                raised = type(exc).__name__
+            monkeypatch.undo()
+            for batch in sim.batches:
+                assert batch.process.fn is batch.live
+                assert not batch._rows
+            state = [raised, sim.now, clk.cycles,
+                     _consumer_state(testbench)]
+            if exit_path == "stop":
+                sim.run(until=us(DURATION_US))
+                state += [_consumer_state(testbench),
+                          testbench.snapshot().digest]
+            observed.append((state, _rows(sim)))
+
+        (live, live_rows), (batched, batched_rows) = observed
+        expected = {"stop": None, "error": "ProcessError",
+                    "interrupt": "KeyboardInterrupt",
+                    "deadline": "WallClockDeadlineError"}[exit_path]
+        assert live[0] == expected
+        assert 0 < live[2] < DURATION_US * 100
+        assert batched == live
+        assert live_rows == {"MonitorBatch": 0, "CheckerBatch": 0}
+        assert set(batched_rows) == set(live_rows)
+        assert 0 not in batched_rows.values()
+
+    def test_checkpoint_digest_stream_matches_per_cycle(self):
+        spec = campaign_spec("portable-audio-player",
+                             fault="always-retry", seed=5,
+                             duration_us=4.0)
+        _, live = execute(spec, instrument=_per_cycle,
+                          checkpoint=CheckpointPlan(interval_cycles=100))
+        system, batched = execute(
+            spec, checkpoint=CheckpointPlan(interval_cycles=100))
+        rows = _rows(system.sim)
+        assert set(rows) == {"MonitorBatch", "CheckerBatch"}
+        assert 0 not in rows.values()
+        assert batched.digests["entries"]
+        assert batched.digests == live.digests
+        assert batched.fingerprint() == live.fingerprint()
+
+
 class TestReplayEngineIdentity:
     def test_checkpoint_digest_streams_match(self):
         spec = campaign_spec("portable-audio-player",
@@ -133,10 +278,11 @@ class TestInvalidCycleIdentity:
     """A cycle the live monitor rejects crashes identically everywhere.
 
     A one-cycle glitch of ``hresp`` to 7 makes the monitor raise once
-    the ledger holds 101 cycles.  The compiled recorder must flush and hand that
-    cycle to the live step, so the outcome, its detail, the fingerprint
-    and the torn monitor state equal the interpreted run's, whether the
-    rows before it are replayed by NumPy or by the scalar step."""
+    the ledger holds 101 cycles.  On either engine the recorder must
+    flush and hand that cycle to the live step, so the outcome, its
+    detail, the fingerprint and the torn monitor state equal the
+    per-cycle run's, whether the rows before it are replayed by NumPy
+    or by the scalar step."""
 
     SPEC = campaign_spec("portable-audio-player", seed=3,
                          duration_us=3.0).replace(
@@ -144,31 +290,36 @@ class TestInvalidCycleIdentity:
         faults=[FaultEntry.signal_fault("glitch", "hresp", value=7,
                                         cycles=1, start_ps=1_000_000)])
 
-    def _observe(self, engine):
-        system, outcome = execute(self.SPEC.replace(engine=engine))
-        if engine == "compiled":
+    def _observe(self, engine, per_cycle=False):
+        system, outcome = execute(self.SPEC.replace(engine=engine),
+                                  instrument=_per_cycle if per_cycle
+                                  else None)
+        (batch,) = system.sim.batches
+        assert isinstance(batch, MonitorBatch)
+        if per_cycle:
+            assert batch.rows_replayed == batch.live_diverts == 0
+        else:
             # the glitched cycle ran live, the 100 before it replayed
-            batch = system.sim.scheduler.batch
             assert batch.live_diverts == 1
             assert batch.rows_replayed > 0
         return (outcome.outcome, outcome.detail, outcome.fingerprint(),
                 system.ledger.state_dict(), system.monitor.state_dict())
 
     def test_engines_and_replay_paths_agree(self, monkeypatch):
-        interpreted = self._observe("interpreted")
-        assert interpreted[0] == "crashed"
-        assert "power_monitor.monitor" in interpreted[1]
-        assert "7 is not a valid HRESP" in interpreted[1]
-        assert interpreted[3]["cycles"] == 101
-        assert self._observe("compiled") == interpreted
-
-        from repro.compiled.monitor_batch import MonitorBatch
+        reference = self._observe("interpreted", per_cycle=True)
+        assert reference[0] == "crashed"
+        assert "power_monitor.monitor" in reference[1]
+        assert "7 is not a valid HRESP" in reference[1]
+        assert reference[3]["cycles"] == 101
+        assert self._observe("interpreted") == reference
+        assert self._observe("compiled") == reference
 
         def _overflow(self, arr):
             raise OverflowError("forced: exercise the scalar step")
 
         monkeypatch.setattr(MonitorBatch, "_flush_np", _overflow)
-        assert self._observe("compiled") == interpreted
+        assert self._observe("interpreted") == reference
+        assert self._observe("compiled") == reference
 
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -214,21 +365,25 @@ class TestCompiledEqualsInterpretedProperty:
               derandomize=True)
     @given(spec=run_specs())
     def test_fingerprint_digest_and_ledger_match(self, spec):
-        i_system, i_outcome = execute(spec)
-        c_system, c_outcome = execute(spec.replace(engine="compiled"))
-
-        assert c_outcome.fingerprint() == i_outcome.fingerprint()
-        # The checker's full state — every violation with its snapshot,
-        # counters and rule state — on crashed runs too.
-        if i_system.checker is not None:
-            assert (c_system.checker.state_dict()
-                    == i_system.checker.state_dict())
-        # Crashed/hung runs can stop mid-delta, where snapshot() is
-        # not defined to be quiescent; the fingerprint (which embeds
-        # exact energy totals) is the oracle there.
-        if i_outcome.outcome == "ok":
-            assert (c_system.snapshot().digest
-                    == i_system.snapshot().digest)
-        if i_system.ledger is not None and c_system.ledger is not None:
-            assert (c_system.ledger.state_dict()
-                    == i_system.ledger.state_dict())
+        # The per-cycle reference: an observer keeps both consumers
+        # live; interpreted-batched and compiled must both equal it.
+        l_system, l_outcome = execute(spec, instrument=_per_cycle)
+        assert set(_rows(l_system.sim).values()) <= {0}
+        for engine in ("interpreted", "compiled"):
+            system, outcome = execute(spec.replace(engine=engine))
+            assert outcome.fingerprint() == l_outcome.fingerprint()
+            # Every violation with its snapshot, counters and rule
+            # state, and the monitor's full state — on crashed runs too.
+            for part in ("checker", "monitor"):
+                if getattr(l_system, part) is not None:
+                    assert (getattr(system, part).state_dict()
+                            == getattr(l_system, part).state_dict())
+            # Crashed/hung runs can stop mid-delta, where snapshot() is
+            # not defined to be quiescent; the fingerprint (which
+            # embeds exact energy totals) is the oracle there.
+            if l_outcome.outcome in CONTAINED_OUTCOMES:
+                assert (system.snapshot().digest
+                        == l_system.snapshot().digest)
+            if l_system.ledger is not None:
+                assert (system.ledger.state_dict()
+                        == l_system.ledger.state_dict())

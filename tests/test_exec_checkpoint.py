@@ -119,8 +119,10 @@ class TestCheckpointedCampaign:
 
     def test_timeout_without_checkpointing_stays_terminal(
             self, tmp_path):
+        # 30 000 bus cycles: every attempt overruns the 0.1 s budget,
+        # however fast the run path gets
         report = execute_campaign(
-            _runs(("hung-slave",), 30.0),
+            _runs(("hung-slave",), 300.0),
             ExecutorConfig(jobs=1, timeout=0.1, max_attempts=3,
                            artefact_dir=str(tmp_path)))
         result = next(result for result in report.results.values()
