@@ -11,9 +11,6 @@ per-scenario held-out energy error of the committed table.
 import gc
 import time
 
-import pytest
-from conftest import bench_seconds
-
 from repro.amba.transactions import reset_txn_ids
 from repro.kernel import us
 from repro.tlm import TlmSystem, load_default_table
@@ -23,30 +20,25 @@ from repro.workloads import plan_scenario
 
 SCENARIO = "portable-audio-player"
 DURATION_US = 50.0
+#: Alternating timed rounds per tier in the speedup gate.
+ROUNDS = 10
 
 
-@pytest.mark.benchmark(disable_gc=True)
-def test_tlm_transaction_throughput_speedup(benchmark, bench_json):
+def test_tlm_transaction_throughput_speedup(run_once, bench_json):
     """Transactions/second, TLM vs cycle-accurate, same stimulus.
 
-    GC is disabled inside the timed rounds (both tiers retain every
-    completed transaction, and collector pauses would otherwise
-    dominate the millisecond-scale TLM rounds).
+    Both sides are timed alike.  A single run varies by 10-30 % on a
+    shared host, whose cores switch between fast and slow spells, so
+    the two tiers alternate over ``ROUNDS`` rounds (which one goes
+    first alternates too) and their total times compare.  Each run
+    starts from a collected heap with GC disabled inside it: both tiers
+    retain every completed transaction, and collector pauses would
+    otherwise dominate the millisecond-scale TLM runs.
     """
     table = load_default_table()
 
-    gc.collect()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        cycle_system = reference_run(SCENARIO, VALIDATION_SEED,
-                                     DURATION_US)
-        cycle_seconds = time.perf_counter() - start
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    cycle_txns = cycle_system.transactions_completed()
+    def run_cycle():
+        return reference_run(SCENARIO, VALIDATION_SEED, DURATION_US)
 
     def run_tlm():
         reset_txn_ids()
@@ -56,11 +48,34 @@ def test_tlm_transaction_throughput_speedup(benchmark, bench_json):
         system.run(us(DURATION_US))
         return system
 
-    start = time.perf_counter()
-    tlm_system = benchmark(run_tlm)
-    tlm_seconds = bench_seconds(benchmark,
-                                time.perf_counter() - start)
-    tlm_txns = tlm_system.transactions_completed()
+    def timed(fn):
+        gc.collect()
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            system = fn()
+            return system, time.perf_counter() - start
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    def alternate():
+        seconds = {run_cycle: 0.0, run_tlm: 0.0}
+        systems = {}
+        for index in range(ROUNDS):
+            order = ((run_cycle, run_tlm) if index % 2 == 0
+                     else (run_tlm, run_cycle))
+            for fn in order:
+                systems[fn], elapsed = timed(fn)
+                seconds[fn] += elapsed
+        return systems, seconds
+
+    systems, seconds = run_once(alternate)
+    cycle_txns = systems[run_cycle].transactions_completed()
+    tlm_txns = systems[run_tlm].transactions_completed()
+    cycle_seconds = seconds[run_cycle] / ROUNDS
+    tlm_seconds = seconds[run_tlm] / ROUNDS
 
     cycle_rate = cycle_txns / cycle_seconds
     tlm_rate = tlm_txns / tlm_seconds
@@ -70,7 +85,7 @@ def test_tlm_transaction_throughput_speedup(benchmark, bench_json):
         "(acceptance floor: 20x)" % speedup)
     bench_json(
         "tlm_transaction_throughput",
-        scenario=SCENARIO, duration_us=DURATION_US,
+        scenario=SCENARIO, duration_us=DURATION_US, rounds=ROUNDS,
         cycle_txns=cycle_txns, cycle_seconds=cycle_seconds,
         cycle_txns_per_s=cycle_rate,
         tlm_txns=tlm_txns, tlm_seconds=tlm_seconds,

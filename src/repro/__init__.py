@@ -74,8 +74,10 @@ from .workloads import AhbSystem, build_paper_testbench  # noqa: E402
 
 def _load_batch_kinds():
     """Register the power monitor's and compliance engines' record/replay
-    batches, which both engines run; imported on the first simulation."""
-    from . import compiled  # noqa: F401
+    batches, which both engines run; imported on the first simulation.
+    Each batch module registers its kind on import, and nothing else
+    imports them on an interpreted run."""
+    from .compiled import checker_batch, monitor_batch  # noqa: F401
 
 
 _simulator.load_batch_kinds = _load_batch_kinds

@@ -20,9 +20,13 @@ straight-line edge code at elaboration time:
    digests and energy ledgers match byte for byte.  Anything it cannot
    prove safe falls back to the interpreted loop, loudly via
    :attr:`CompiledEngine.fallback_reason`.
-   The power monitor and the compliance engines are recorded and
-   replayed in blocks through one protocol
-   (:mod:`~repro.compiled.rowbatch`).
+
+The power monitor and the compliance engines are recorded and replayed
+in blocks through one protocol (:mod:`~repro.compiled.rowbatch`) on
+both engines: :meth:`repro.kernel.Simulator.run` arms the recorders,
+whichever loop runs.  The batch modules are therefore imported on any
+first simulation, while the engine and its code generator load only
+when :class:`CompiledEngine` is first used.
 
 Typical use::
 
@@ -35,7 +39,6 @@ Typical use::
 
 """
 
-from .engine import CompiledEngine
 from .errors import CompileError
 from .graph import DesignGraph, extract_graph
 from .levelize import levelize
@@ -51,14 +54,21 @@ __all__ = [
 ]
 
 
+def __getattr__(name):
+    if name == "CompiledEngine":
+        from .engine import CompiledEngine
+        return CompiledEngine
+    raise AttributeError("module %r has no attribute %r"
+                         % (__name__, name))
+
+
 def compile_simulator(sim, clocks, install=True):
     """Compile *sim* (with its *clocks*) and install the engine.
 
-    Every stock :class:`~repro.power.monitors.GlobalPowerMonitor` and
-    compliance engine on a rising edge gets the batched record/replay
-    path.  Pass ``install=False`` to get an un-installed engine (e.g.
-    for inspection or deferred attachment).
+    Pass ``install=False`` to get an un-installed engine (e.g. for
+    inspection or deferred attachment).
     """
+    from .engine import CompiledEngine
     engine = CompiledEngine(sim, clocks)
     if install:
         engine.install()

@@ -1,8 +1,8 @@
-"""Batched evaluation of the compliance rules on the compiled engine.
+"""Batched evaluation of the compliance rules on both engines.
 
 The :class:`~repro.protocol.ComplianceEngine` runs its rule catalogue
-in Python on every rising edge.  In compiled mode, when every effective
-severity is ``record``, the engine is one consumer of the shared
+in Python on every rising edge.  When every effective severity is
+``record``, the engine is one consumer of the shared
 record/replay protocol (:mod:`repro.compiled.rowbatch`): its recorder
 appends one tuple of the committed values
 :class:`~repro.protocol.CycleView` reads (HTRANS, HADDR, HWRITE,

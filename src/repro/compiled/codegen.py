@@ -8,33 +8,26 @@ exactly, but with every dynamic lookup resolved at compile time:
 * the clock commit is two slot stores (guarded: an injection hook, a
   commit watcher, a staged write or an already-high level falls back
   to the generic, fully interpreted-identical edge);
-* the sequential processes fire as straight-line calls to their bound
-  methods, in the posedge event's firing order (a compile-time
-  constant, revalidated at every run);
+* the sequential processes fire as straight-line ``fn`` calls on their
+  process objects, in the posedge event's firing order (a compile-time
+  constant, revalidated at every run) — through ``fn``, so a consumer
+  whose process :meth:`~repro.kernel.Simulator.run` points at a batch
+  recorder (:mod:`repro.compiled.rowbatch`) records here too;
 * the error wrapper reproduces ``ProcessError`` attribution via a
   single enclosing try with a position counter instead of a per-call
   try;
 * the combinational cascade that follows is handed to the engine's
   shared settle loop.
-
-Every batched consumer (the power monitor, each compliance engine) has
-its call site emitted as a swappable module global named by the
-engine: before each run the engine points it at the recorder of the
-consumer's batch (:mod:`repro.compiled.rowbatch`) or at its live
-method.
 """
 
 from __future__ import annotations
 
 
-def emit_module(engine, graph, slots):
+def emit_module(engine, graph):
     """Build the specialized edge functions for every domain.
 
-    *slots* maps ``id(process)`` to the namespace key of that
-    process's swappable call site.  Returns ``{clock: (rising,
-    falling)}``; the functions close over *engine* (for the generic
-    fallback and the cascade) and the namespace, which is stored on
-    the engine for the per-run slot swap.
+    Returns ``{clock: (rising, falling)}``; the functions close over
+    *engine* (for the generic fallback and the cascade).
     """
     lines = []
     namespace = {
@@ -50,17 +43,14 @@ def emit_module(engine, graph, slots):
         namespace["_dom_%d" % index] = domain
         names = []
         for position, info in enumerate(domain.seq_pos):
-            key = slots.get(id(info.process),
-                            "_f%d_%d" % (index, position))
-            namespace[key] = info.process.fn
+            namespace["_p%d_%d" % (index, position)] = info.process
             names.append(info.process.name)
         namespace["_names_%d" % index] = tuple(names)
-        lines.append(_emit_rising(index, domain, slots))
+        lines.append(_emit_rising(index, domain))
         lines.append(_emit_falling(index, domain))
     source = "\n".join(lines)
     code = compile(source, "<repro.compiled.codegen>", "exec")
     exec(code, namespace)
-    engine._namespace = namespace
     return {
         domain.clock: (namespace["_rising_%d" % index],
                        namespace["_falling_%d" % index])
@@ -68,7 +58,7 @@ def emit_module(engine, graph, slots):
     }
 
 
-def _emit_rising(index, domain, slots):
+def _emit_rising(index, domain):
     sig = "_sig_%d" % index
     guard = ("    if (%s._inject is not None or %s._watchers is not None\n"
              "            or %s._staged or %s._value):\n"
@@ -96,8 +86,7 @@ def _emit_rising(index, domain, slots):
     for position, info in enumerate(domain.seq_pos):
         if position:
             body.append("        _n = %d" % position)
-        body.append("        %s()" % slots.get(
-            id(info.process), "_f%d_%d" % (index, position)))
+        body.append("        _p%d_%d.fn()" % (index, position))
     body.extend([
         "    except (_SimulationError, KeyboardInterrupt):",
         "        raise",

@@ -26,23 +26,13 @@ read → staged write functions, so the duplicate evaluation stages the
 same values and the round structure — hence ``delta_count`` — is
 unchanged; the equivalence suite enforces this.
 
-**Batched consumers.**  The stock power monitor and every stock
-compliance engine each have one batch of the shared record/replay
-protocol (:mod:`repro.compiled.rowbatch`), found by
-:attr:`Simulator.batches` and shared with the interpreted loop; the
-engine gives each whose consumer runs on a rising edge a swappable call
-site.  On a single-domain run it points the slot at the consumer's
-recorder — one tuple of committed values per cycle — and replays the
-rows at run end (also on an error or a stop), at the row cap, before a
-hand-off to the interpreted loop and before a generic edge.  Whether a
-consumer batches is decided at every run: the monitor batches unless a
-power-FSM sink needs per-cycle time stamps
-(:mod:`repro.compiled.monitor_batch`); a
-:class:`~repro.protocol.ComplianceEngine` batches only when every
-effective severity is ``record`` and every rule is a stock catalogue
-class (:mod:`repro.compiled.checker_batch`).  ``raise`` and ``warn``
-severity, custom rules and kernel observers keep the live per-cycle
-method on both engines; several clock domains keep it here.
+**Batched consumers.**  The engine knows nothing of them.  The emitted
+edges and the settle loop call every process through its ``fn``, and
+:meth:`Simulator.run` points the ``fn`` of each eligible power monitor
+and compliance engine at its batch's recorder
+(:mod:`repro.compiled.rowbatch`) for the whole call, so the same
+recorder runs on the emitted rising edge, on a generic edge, in the
+multi-domain loop and after a hand-off to the interpreted loop.
 """
 
 from __future__ import annotations
@@ -58,12 +48,10 @@ from ..kernel.errors import (
 )
 from ..kernel.events import MethodProcess, ThreadProcess
 from ..kernel.time import format_time
-from .checker_batch import CheckerBatch
 from .codegen import emit_module
 from .errors import CompileError
 from .graph import extract_graph
 from .levelize import levelize
-from .monitor_batch import MonitorBatch
 
 
 class CompiledEngine:
@@ -103,22 +91,10 @@ class CompiledEngine:
         self._n_processes = len(sim._processes)
         self._domain_by_driver = {
             id(domain.driver): domain for domain in self.graph.domains}
-
-        #: The simulator's batches whose consumer runs on a rising
-        #: edge; each gets a call-site slot.
-        rising = {id(info.process) for domain in self.graph.domains
-                  for info in domain.seq_pos}
-        self.batches = [batch for batch in sim.batches
-                        if id(batch.process) in rising]
-        slots = {id(batch.process): "_slot_%d" % key
-                 for key, batch in enumerate(self.batches)}
-
-        self._namespace = None       # filled by emit_module
-        self._edges = emit_module(self, self.graph, slots)
+        self._edges = emit_module(self, self.graph)
 
         self._spare = []
         self._uq_spare = []
-        self._active_batches = ()
 
         #: Run accounting for telemetry / tests.
         self.runs_compiled = 0
@@ -181,15 +157,11 @@ class CompiledEngine:
         if self._uq_spare is sim._update_queue or self._uq_spare:
             self._uq_spare = []
 
-        self._active_batches = self._set_slots(len(plan) == 1)
-        try:
-            if len(plan) == 1:
-                return self._run_single(sim, plan[0], until,
-                                        wall_clock_budget, wall_start)
-            return self._run_multi(sim, plan, until,
-                                   wall_clock_budget, wall_start)
-        finally:
-            self._active_batches = ()
+        if len(plan) == 1:
+            return self._run_single(sim, plan[0], until,
+                                    wall_clock_budget, wall_start)
+        return self._run_multi(sim, plan, until,
+                               wall_clock_budget, wall_start)
 
     # -- validation ----------------------------------------------------
 
@@ -256,35 +228,6 @@ class CompiledEngine:
             plan.append([entry_time, seq, domain, entry])
         return plan
 
-    def _set_slots(self, single_domain):
-        """Point every batched call site at its recorder or its live
-        method; returns the batches recording this run."""
-        active = []
-        for key, batch in enumerate(self.batches):
-            use = single_domain and batch.eligible()
-            self._namespace["_slot_%d" % key] = \
-                batch.recorder if use else batch.live
-            if use:
-                active.append(batch)
-        return tuple(active)
-
-    @property
-    def batch(self):
-        """The power monitor's batch, or None."""
-        return next((batch for batch in self.batches
-                     if isinstance(batch, MonitorBatch)), None)
-
-    @property
-    def checker_batches(self):
-        """The compliance engines' batches."""
-        return [batch for batch in self.batches
-                if isinstance(batch, CheckerBatch)]
-
-    def _flush(self):
-        """Replay every recording batch's buffered rows."""
-        for batch in self._active_batches:
-            batch.flush()
-
     # -- single-domain fast loop ---------------------------------------
 
     def _run_single(self, sim, item, until, wall_clock_budget,
@@ -329,7 +272,6 @@ class CompiledEngine:
                     # the interpreter
                     self._materialize(domain, edge_time, seq,
                                       driver_high)
-                    self._flush()
                     edges = -1
                     sim._run_interpreted(until, None, wall_clock_budget,
                                          wall_start)
@@ -344,8 +286,6 @@ class CompiledEngine:
                 self._materialize(domain, edge_time, seq, driver_high)
             elif edges == 0:
                 heapq.heappush(timed, entry)
-            if edges >= 0:
-                self._flush()
         if not stopped:
             sim.now = until
         return True
@@ -448,9 +388,6 @@ class CompiledEngine:
         path cannot prove safe (injection hooks or watchers on the
         clock wire, a stale level, level-sensitive clock logic)."""
         sim = self.sim
-        # the live methods run on this edge; replay the buffered
-        # cycles first so their state is current
-        self._flush()
         sim.delta_count += 1
         domain.clock.signal.write(level)
         if level:
@@ -524,11 +461,8 @@ class CompiledEngine:
             spare = current
 
     def __repr__(self):
-        return ("CompiledEngine(domains=%d, seq=%d, comb=%d, "
-                "batched_monitor=%s, batched_checker=%s)"
+        return ("CompiledEngine(domains=%d, seq=%d, comb=%d)"
                 % (len(self.graph.domains),
                    sum(len(domain.seq_pos) + len(domain.seq_neg)
                        for domain in self.graph.domains),
-                   len(self.graph.comb),
-                   self.batch is not None,
-                   bool(self.checker_batches)))
+                   len(self.graph.comb)))

@@ -2,7 +2,7 @@
 
 The monitor's per-cycle step (activity sampling, four macromodel
 evaluations, FSM step, ledger charge) dominates interpreted runtime.
-In compiled mode the monitor is one consumer of the shared
+On both engines the monitor is one consumer of the shared
 record/replay protocol (:mod:`repro.compiled.rowbatch`): its recorder
 appends the committed values in the monitor's own
 :attr:`~GlobalPowerMonitor.columns` layout, and a cycle with an HTRANS
@@ -16,7 +16,7 @@ and the NumPy replay.
 cycle: the live monitor runs it on every clock edge, and the replay
 falls back to it row by row when a value is beyond int64.  The NumPy
 replay here is the only other copy of that arithmetic, kept because it
-is the compiled engine's fast path.  Bit-identity with the scalar step
+is the batched fast path.  Bit-identity with the scalar step
 is the contract, not an aspiration:
 
 * integer work (Hamming distances via ``np.bitwise_count``, ones

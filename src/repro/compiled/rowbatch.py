@@ -2,15 +2,17 @@
 
 A consumer that observes the bus every rising edge (the power monitor,
 each compliance engine) does not run its per-cycle method while it
-batches: its call site points at a generated *recorder* that appends
-one tuple of committed values per cycle, and :meth:`RowBatch.flush`
-hands the buffered rows to the consumer's block kernel.  Both engines
-use the same batch object, found once per consumer by
-:attr:`repro.kernel.Simulator.batches`: the interpreted loop points the
-consumer's process at the recorder for the run and flushes on every
-exit; the compiled engine swaps a slot in its emitted rising edge and
-also flushes at the row cap, before a hand-off to the interpreted loop
-and before a generic edge.
+batches: its process calls a generated *recorder* that appends one
+tuple of committed values per cycle, and :meth:`RowBatch.flush` hands
+the buffered rows to the consumer's block kernel.  Both engines use the
+same batch object, found once per consumer by
+:attr:`repro.kernel.Simulator.batches`, and one arming point:
+:meth:`repro.kernel.Simulator.run` points the consumer's process at the
+recorder for the whole call, whichever loop runs it (the interpreted
+loop, the compiled engine's emitted edges, generic edges and
+multi-domain loop, or a hand-off between them), and restores the live
+method and flushes on every exit.  The recorder flushes itself at the
+row cap.
 
 :class:`RowBatch` owns everything that is the same for every consumer:
 
@@ -131,7 +133,7 @@ class RowBatch:
 
     def _divert(self):
         """Run this cycle live, after the rows before it; a raise
-        propagates exactly as from the live slot."""
+        propagates exactly as from the live method."""
         self.flush()
         self.live_diverts += 1
         self.live()

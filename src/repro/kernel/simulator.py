@@ -471,41 +471,48 @@ class Simulator:
             per-run deadlines even without process isolation.
 
         Returns the kernel time at which the run stopped.
+
+        With no observer attached, every eligible :attr:`batches`
+        consumer records instead of running its per-cycle method: its
+        process calls the batch's recorder for the whole call, on
+        whichever loop runs it (the installed scheduler, the built-in
+        loop, or the built-in loop continuing a run the scheduler
+        handed back).  On every exit (return, stop, error, deadline,
+        interrupt) the live method is restored and the rows are
+        replayed.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
-        if self._scheduler is not None:
-            self._running = True
-            try:
-                handled = self._scheduler.run(
-                    self, until, max_time_steps, wall_clock_budget)
-            finally:
-                self._running = False
-            if handled:
-                return self.now
+        recording = () if self._observer is not None else tuple(
+            batch for batch in self.batches if batch.eligible())
+        for batch in recording:
+            batch.process.fn = batch.recorder
         self._running = True
-        self._stop_requested = False
         try:
+            if self._scheduler is not None and self._scheduler.run(
+                    self, until, max_time_steps, wall_clock_budget):
+                return self.now
+            self._stop_requested = False
             return self._run_interpreted(
                 until, max_time_steps, wall_clock_budget)
         finally:
             self._running = False
+            for batch in recording:
+                batch.process.fn = batch.live
+            for batch in recording:
+                batch.flush()
 
     def _run_interpreted(self, until, max_time_steps, wall_clock_budget,
                          wall_start=None):
         """The built-in delta-cycle loop.
 
-        Callers hold ``_running`` and have already cleared
-        ``_stop_requested``.  An installed scheduler that has to hand a
+        Callers hold ``_running``, have already cleared
+        ``_stop_requested`` and have armed the batch recorders
+        (:meth:`run`).  An installed scheduler that has to hand a
         partially executed run back (e.g. on encountering a timed entry
         it cannot handle) calls this directly, passing its own
-        ``wall_start`` so the wall-clock budget spans the whole run.
-
-        With no observer attached, every eligible :attr:`batches`
-        consumer records instead of running its per-cycle method: its
-        process calls the batch's recorder, and the rows are replayed
-        on every exit (return, stop, error, deadline, interrupt) before
-        the live method is restored.
+        ``wall_start`` so the wall-clock budget spans the whole run;
+        the recorders keep recording across the hand-off.
         """
         steps = 0
         if wall_start is None and wall_clock_budget is not None:
@@ -516,36 +523,26 @@ class Simulator:
         dispatch = self._dispatch_timed
         timed = self._timed
         monotonic = _time.monotonic
-        recording = () if self._observer is not None else tuple(
-            batch for batch in self.batches if batch.eligible())
-        for batch in recording:
-            batch.process.fn = batch.recorder
-        try:
-            while True:
-                settle()
-                if self._stop_requested:
-                    break
-                if wall_start is not None:
-                    elapsed = monotonic() - wall_start
-                    if elapsed > wall_clock_budget:
-                        raise WallClockDeadlineError(
-                            elapsed, wall_clock_budget, self.now)
-                if not timed:
-                    break
-                next_time = timed[0][0]
-                if until is not None and next_time > until:
-                    self.now = until
-                    break
-                self.now = next_time
-                dispatch(next_time)
-                steps += 1
-                if max_time_steps is not None and steps >= max_time_steps:
-                    break
-        finally:
-            for batch in recording:
-                batch.process.fn = batch.live
-            for batch in recording:
-                batch.flush()
+        while True:
+            settle()
+            if self._stop_requested:
+                break
+            if wall_start is not None:
+                elapsed = monotonic() - wall_start
+                if elapsed > wall_clock_budget:
+                    raise WallClockDeadlineError(
+                        elapsed, wall_clock_budget, self.now)
+            if not timed:
+                break
+            next_time = timed[0][0]
+            if until is not None and next_time > until:
+                self.now = until
+                break
+            self.now = next_time
+            dispatch(next_time)
+            steps += 1
+            if max_time_steps is not None and steps >= max_time_steps:
+                break
         return self.now
 
     # -- scheduler internals ---------------------------------------------

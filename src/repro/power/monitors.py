@@ -11,10 +11,12 @@
   live method and by the batched replay whenever NumPy cannot hold the
   recorded values; that replay's NumPy path
   (:mod:`repro.compiled.monitor_batch`) is the only other copy.  On
-  both engines a stock monitor, found by its ``_on_clk`` process as
-  compliance engines are, records one row per cycle and is replayed
-  in blocks through one protocol (:mod:`repro.compiled.rowbatch`);
-  the live method runs per cycle only when a power-FSM sink needs
+  both engines and on every clock domain a stock monitor, found by its
+  ``_on_clk`` process as compliance engines are, records one row per
+  cycle and is replayed in blocks through one protocol
+  (:mod:`repro.compiled.rowbatch`) that
+  :meth:`~repro.kernel.Simulator.run` arms; the live method runs per
+  cycle only when a power-FSM sink needs
   per-cycle time stamps, a clock gate or clock tree is configured, or
   a kernel observer is attached.
 
@@ -223,9 +225,9 @@ class GlobalPowerMonitor(_BusPowerMonitor):
         self._arb_in = Activity("arb_in", request_signals)
 
         #: Column layout of one cycle's committed values, the row
-        #: :meth:`_step` analyses (and the compiled engine's recorder
-        #: appends): the three activity groups' signals in their sample
-        #: order — so HTRANS, HADDR, HWRITE lead and HRESP is the second
+        #: :meth:`_step` analyses (and the batch recorder appends):
+        #: the three activity groups' signals in their sample order —
+        #: so HTRANS, HADDR, HWRITE lead and HRESP is the second
         #: S2M column — then owner, pending grant and data-phase select.
         self.columns = (self._m2s_out.signals + self._s2m_out.signals
                         + self._arb_in.signals
@@ -262,8 +264,8 @@ class GlobalPowerMonitor(_BusPowerMonitor):
         :attr:`columns` order, *now* is its time stamp.
 
         The one scalar implementation of the cycle, run live and by
-        the compiled engine's replay when its NumPy path cannot hold
-        the values.  An invalid value (bad HTRANS/HRESP code, owner out
+        the batched replay when its NumPy path cannot hold the
+        values.  An invalid value (bad HTRANS/HRESP code, owner out
         of range) raises part-way, after the statements before it.
         """
         s2m_col, arb_col, owner_col = (self._s2m_col, self._arb_col,

@@ -19,21 +19,21 @@ Severity is configurable per engine and per rule:
     Raise :class:`ProtocolComplianceError` at the violating cycle —
     the simulation dies exactly where the protocol does.
 
-On the compiled engine (:mod:`repro.compiled`) a run in which every
-effective severity is ``record`` does not call :meth:`_on_clk` each
-cycle: the emitted edge function records the checked signal values
-instead, through the record/replay protocol the power monitor uses
-too (:mod:`repro.compiled.rowbatch`), and
+On both engines a run in which every effective severity is ``record``
+does not call :meth:`_on_clk` each cycle:
+:meth:`~repro.kernel.Simulator.run` points the engine's process at a
+recorder of the checked signal values instead, through the
+record/replay protocol the power monitor uses too
+(:mod:`repro.compiled.rowbatch`), and
 :mod:`repro.compiled.checker_batch` evaluates the rules over the
-recorded rows at the engine's flush points (run end, the row cap, a
-hand-off to the interpreted loop), producing the identical violations,
-counters and rule state.  A run stays live, cycle by
-cycle, whenever a violation must act at its own cycle or the batch
+recorded rows at the row cap and when the run returns, producing the
+identical violations, counters and rule state.  A run stays live, cycle
+by cycle, whenever a violation must act at its own cycle or the batch
 cannot prove it reproduces the rules: ``raise`` or ``warn`` severity
 (globally or through ``severity_overrides``), a rule that is not one
 of the stock catalogue classes, an engine subclass other than the
-:class:`~repro.amba.AhbProtocolChecker` facade, several clock domains
-or a kernel observer.  The decision is taken afresh at every run, so
+:class:`~repro.amba.AhbProtocolChecker` facade, or a kernel
+observer.  The decision is taken afresh at every run, so
 assigning ``severity`` (or ``AhbProtocolChecker.strict``) between runs
 takes effect at the next one.
 """
@@ -248,8 +248,8 @@ class ComplianceEngine(Module):
 
     def _check(self, view):
         """Run every rule over one cycle's *view* (the per-cycle
-        reference; the compiled engine's batch replays recorded rows
-        through it when NumPy cannot hold their values)."""
+        reference; the batch replays recorded rows through it when
+        NumPy cannot hold their values)."""
         self.cycles_checked += 1
         for rule in self.rules:
             for rule_id, message in rule.check(self._prev, view) or ():

@@ -28,6 +28,7 @@ import os
 import pytest
 
 from repro.compiled import rowbatch
+from repro.compiled.checker_batch import CheckerBatch
 from repro.kernel import FaultInjector, ProcessError, us
 from repro.protocol.rules import (
     BurstSequenceRule,
@@ -96,8 +97,9 @@ RULE_RUNS = {
 
 
 def _checker_batch(system):
-    """The compiled engine's batch for the system's checker."""
-    (batch,) = system.sim.scheduler.checker_batches
+    """The record/replay batch of the system's checker."""
+    (batch,) = [batch for batch in system.sim.batches
+                if isinstance(batch, CheckerBatch)]
     assert batch.owner is system.checker
     return batch
 
@@ -256,7 +258,7 @@ class TestDivertAndEligibility:
 
     def test_repr_says_which_checker_path(self):
         system, _ = observe("alignment", "compiled")
-        assert "batched_checker=True" in repr(system.sim.scheduler)
+        assert _checker_batch(system).rows_replayed > 0
 
 
 if __name__ == "__main__":

@@ -17,15 +17,20 @@ compiled runs to one another.
 """
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 import time
 import types
 
 import pytest
 
+import repro
 from repro.amba.transactions import reset_txn_ids
 from repro.compiled import compile_simulator, compile_system
 from repro.compiled.monitor_batch import MonitorBatch
-from repro.kernel import us
+from repro.kernel import Clock, Signal, ns, us
 from repro.faults.campaign import CONTAINED_OUTCOMES
 from repro.replay import FaultEntry, campaign_spec, execute
 from repro.state import CheckpointPlan
@@ -33,6 +38,12 @@ from repro.workloads import build_paper_testbench
 
 DURATION_US = 20          # 2000 cycles at 100 MHz — enough to split,
                           # retry and hand the bus over many times
+
+
+def _monitor_batch(sim):
+    """The power monitor's batch among *sim*'s batches, or None."""
+    return next((batch for batch in sim.batches
+                 if isinstance(batch, MonitorBatch)), None)
 
 
 def _run_paper(setup=None, seed=1, duration_us=DURATION_US):
@@ -85,7 +96,7 @@ class TestPaperTestbenchIdentity:
         from repro.compiled import rowbatch
         monkeypatch.setattr(rowbatch, "_FLUSH_ROWS", 32)
         c_digest, c_ledger, engine = _run_paper(compile_system)
-        assert engine.batch is not None
+        assert _monitor_batch(engine.sim) is not None
         assert c_digest == digest
         assert c_ledger == ledger
 
@@ -101,10 +112,10 @@ class TestPaperTestbenchIdentity:
             return compile_simulator(testbench.sim, [testbench.clk])
 
         c_digest, c_ledger, engine = _run_paper(setup)
-        assert engine.batch.owner is monitors[0]
-        assert engine.batch.rows_replayed > 0
-        assert engine.batch.live_diverts == 0
-        assert "batched_monitor=True" in repr(engine)
+        batch = _monitor_batch(engine.sim)
+        assert batch.owner is monitors[0]
+        assert batch.rows_replayed > 0
+        assert batch.live_diverts == 0
         assert c_digest == digest
         assert c_ledger == ledger
 
@@ -118,7 +129,7 @@ class TestPaperTestbenchIdentity:
         monkeypatch.setattr(RowBatch, "batchable",
                             classmethod(lambda cls, owner: False))
         c_digest, c_ledger, engine = _run_paper(compile_system)
-        assert engine.batch is None
+        assert _monitor_batch(engine.sim) is None
         assert engine.runs_compiled > 0, engine.fallback_reason
         assert c_digest == digest
         assert c_ledger == ledger
@@ -256,6 +267,135 @@ class TestInterpretedBatchIdentity:
         assert batched.digests["entries"]
         assert batched.digests == live.digests
         assert batched.fingerprint() == live.fingerprint()
+
+
+class TestCompiledBatchPaths:
+    """On the compiled engine the recorders run wherever the process
+    runs: in the emitted rising edge, in the multi-domain loop, on a
+    generic edge and in the interpreted loop a run is handed to.  Each
+    run below must batch both consumers and end where the per-cycle
+    methods end, with every row replayed when ``run`` returns."""
+
+    @staticmethod
+    def _paper(per_cycle, extend=None):
+        """The paper testbench (checker: record); *extend* adds to the
+        design before it is compiled and returns the extra clocks."""
+        reset_txn_ids()
+        testbench = build_paper_testbench(seed=1)
+        clocks = [testbench.clk]
+        if extend is not None:
+            clocks += extend(testbench)
+        engine = None
+        if per_cycle:
+            _per_cycle(testbench)
+        else:
+            engine = compile_simulator(testbench.sim, clocks)
+        testbench.run(us(DURATION_US))
+        return testbench, engine
+
+    @staticmethod
+    def _observed(testbench):
+        sim = testbench.sim
+        return (_consumer_state(testbench), sim.delta_count, sim.now,
+                testbench.clk.cycles, testbench.snapshot().digest)
+
+    def _assert_batched_identity(self, extend):
+        live, _ = self._paper(True, extend)
+        batched, engine = self._paper(False, extend)
+        assert engine.runs_compiled == 1, engine.fallback_reason
+        assert engine.runs_declined == 0
+        for batch in batched.sim.batches:
+            assert batch.rows_replayed > 0
+            assert batch.live_diverts == 0
+            assert not batch._rows
+            assert batch.process.fn is batch.live
+        assert set(_rows(batched.sim)) == {"MonitorBatch",
+                                           "CheckerBatch"}
+        assert _rows(live.sim) == {"MonitorBatch": 0, "CheckerBatch": 0}
+        assert self._observed(batched) == self._observed(live)
+        return live, batched
+
+    def test_multi_domain_run_batches(self):
+        def second_domain(testbench):
+            sim = testbench.sim
+            clk2 = Clock(sim, "clk2", period=ns(27))
+            count = Signal(sim, "count2", width=32)
+            sim.add_method(lambda: count.write(count.value + 1),
+                           [clk2.posedge], name="tick2",
+                           initialize=False)
+            testbench.count2 = count
+            return [clk2]
+
+        live, batched = self._assert_batched_identity(second_domain)
+        assert batched.count2.value == live.count2.value > 0
+
+    def test_hand_off_to_interpreted_loop_keeps_recording(self):
+        def foreign_timer(testbench):
+            sim, clk = testbench.sim, testbench.clk
+            timer = sim.event("timer")
+
+            def arm():
+                if clk.cycles == 777:
+                    timer.notify(ns(3))   # foreign timed activity
+            sim.add_method(arm, [clk.posedge], name="arm",
+                           initialize=False)
+            handed = []
+            run_interpreted = sim._run_interpreted
+
+            def counted(*args):
+                handed.append(sim.now)
+                return run_interpreted(*args)
+            sim._run_interpreted = counted
+            testbench.handed = handed
+            return []
+
+        _, batched = self._assert_batched_identity(foreign_timer)
+        # the compiled loop ran the first 777 cycles and handed the
+        # rest to the interpreted loop; both recorded
+        (at,) = batched.handed
+        assert 0 < at < us(DURATION_US)
+
+    def test_generic_edges_keep_recording(self):
+        def clock_watcher(testbench):
+            commits = []
+            testbench.clk.signal.add_watcher(
+                lambda signal, old, new: commits.append(new))
+            testbench.commits = commits
+            return []
+
+        live, batched = self._assert_batched_identity(clock_watcher)
+        # a watcher on the clock wire sends every edge to the generic
+        # path, which commits the wire through the kernel
+        assert len(batched.commits) == 2 * batched.clk.cycles
+        assert batched.commits == live.commits
+
+
+class TestBatchKindLoader:
+    def test_first_interpreted_run_registers_both_kinds(self):
+        # A fresh process: no other test has imported the batch
+        # modules there, so only the loader that ``import repro``
+        # installs can register their kinds.
+        src = os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        child = (
+            "import json, sys\n"
+            "import repro\n"
+            "system = repro.build_paper_testbench(seed=1)\n"
+            "system.run(repro.us(2))\n"
+            "print(json.dumps({\n"
+            "    'rows': {type(batch).__name__: batch.rows_replayed\n"
+            "             for batch in system.sim.batches},\n"
+            "    'engine_imported': 'repro.compiled.engine' in sys.modules,\n"
+            "}))\n")
+        result = json.loads(subprocess.run(
+            [sys.executable, "-c", child], env=env, check=True,
+            capture_output=True, text=True, timeout=300).stdout)
+        assert set(result["rows"]) == {"MonitorBatch", "CheckerBatch"}
+        assert 0 not in result["rows"].values()
+        # an interpreted run does not import the compiler
+        assert result["engine_imported"] is False
 
 
 class TestReplayEngineIdentity:

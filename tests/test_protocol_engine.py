@@ -13,6 +13,7 @@ from repro.amba import (
     MemorySlave,
 )
 from repro.compiled import compile_simulator
+from repro.compiled.checker_batch import CheckerBatch
 from repro.faults import BabblingMaster
 from repro.kernel import (
     Clock,
@@ -35,6 +36,12 @@ from repro.protocol import (
 )
 from repro.replay import campaign_spec, execute
 from repro.workloads import SCENARIOS, build_scenario
+
+
+def _checker_batches(sim):
+    """The compliance engines' record/replay batches of *sim*."""
+    return [batch for batch in sim.batches
+            if isinstance(batch, CheckerBatch)]
 
 
 class EngineSystem:
@@ -171,14 +178,14 @@ class TestSeverity:
     def test_raise_dies_at_the_violating_cycle_compiled(self):
         sys = EngineSystem(severity="raise")
         sys.glitch_htrans_seq()
-        engine = sys.compile()
+        sys.compile()
         with pytest.raises(ProcessError) as exc_info:
             sys.run_us(2)
         assert isinstance(exc_info.value.original,
                           ProtocolComplianceError)
         assert len(sys.engine.violations) == 1
         assert sys.sim.now == sys.engine.violations[0].time
-        assert engine.checker_batches[0].rows_replayed == 0
+        assert _checker_batches(sys.sim)[0].rows_replayed == 0
 
     def test_warn_prints_once_per_rule(self, capsys):
         sys = EngineSystem(severity="warn")
@@ -320,7 +327,7 @@ class TestCompiledLivePath:
             sys = self._system(engine, **kwargs)
             sys.run_us(2)
             if sys.compiled is not None:
-                (batch,) = sys.compiled.checker_batches
+                (batch,) = _checker_batches(sys.sim)
                 assert batch.rows_replayed == 0
             return sys.engine.state_dict(), capsys.readouterr().err
 
@@ -338,7 +345,7 @@ class TestCompiledLivePath:
             replayed = None
             if sys.compiled is not None:
                 (batch,) = [batch for batch
-                            in sys.compiled.checker_batches
+                            in _checker_batches(sys.sim)
                             if batch.owner is facade]
                 replayed = batch.rows_replayed
                 assert replayed == facade.cycles_checked > 0
