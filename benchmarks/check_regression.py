@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Throughput regression guard.
 
-Compares a freshly measured ``BENCH_throughput.json`` against a saved
-baseline (normally the committed file, copied aside before the bench
-run rewrites it) and exits non-zero when any benchmark's rate dropped
-by more than the threshold.
+Compares a freshly measured ``BENCH_throughput.json`` (the benchmark
+run writes it under ``benchmarks/fresh/``) against a baseline (by
+default the committed ``benchmarks/BENCH_throughput.json``) and exits
+non-zero when any benchmark's rate dropped by more than the threshold.
 
 A *rate* is any field ending in ``_per_s``.  A benchmark present in
 the baseline but missing from the current run fails the guard (a
@@ -13,9 +13,8 @@ the current run are reported and pass.
 
 Usage (mirrors the CI ``bench-guard`` step)::
 
-    cp benchmarks/BENCH_throughput.json baseline.json
     pytest benchmarks/test_bench_throughput.py -q
-    python benchmarks/check_regression.py --baseline baseline.json
+    python benchmarks/check_regression.py
 
 The default threshold (30 %) absorbs host-speed noise between CI
 runners while still catching real slowdowns; tighten it with
@@ -29,8 +28,9 @@ import json
 import os
 import sys
 
-DEFAULT_CURRENT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                               "BENCH_throughput.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+DEFAULT_BASELINE = os.path.join(HERE, "BENCH_throughput.json")
+DEFAULT_CURRENT = os.path.join(HERE, "fresh", "BENCH_throughput.json")
 
 
 def rates_of(entry):
@@ -76,8 +76,9 @@ def check(baseline, current, threshold):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", required=True,
-                        help="saved baseline BENCH_throughput.json")
+    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
+                        help="baseline BENCH_throughput.json "
+                             "(default: %(default)s)")
     parser.add_argument("--current", default=DEFAULT_CURRENT,
                         help="freshly measured results "
                              "(default: %(default)s)")

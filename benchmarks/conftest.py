@@ -6,10 +6,12 @@ so ``pytest benchmarks/ --benchmark-only -s`` shows the same rows and
 series the paper reports.
 
 Machine-readable figures: the :func:`bench_json` fixture writes each
-module's headline numbers to ``benchmarks/BENCH_<stem>.json``
-(``test_bench_throughput.py`` → ``BENCH_throughput.json``), so the
-perf trajectory is tracked PR-over-PR instead of scrolling away in
-terminal output.
+module's headline numbers to ``benchmarks/fresh/BENCH_<stem>.json``
+(``test_bench_throughput.py`` → ``BENCH_throughput.json``), an
+untracked directory, so a run never rewrites the committed
+``benchmarks/BENCH_<stem>.json`` reference figures.  To move the
+perf trajectory forward, copy a fresh file over its committed
+counterpart; ``check_regression.py`` compares the two.
 
 The harness runs with or without ``pytest-benchmark``: when the plugin
 is absent, a minimal fallback ``benchmark`` fixture times a single
@@ -37,18 +39,21 @@ def report(result):
     return result
 
 
-#: Directory the BENCH_*.json trajectory files are written into.
+#: Directory of the committed BENCH_*.json reference figures.
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
+
+#: Untracked directory a benchmark run writes its BENCH_*.json into.
+FRESH_DIR = os.path.join(BENCH_DIR, "fresh")
 
 
 def bench_path(module_name):
-    """``BENCH_<stem>.json`` path for a benchmark module name."""
+    """Fresh ``BENCH_<stem>.json`` path for a benchmark module name."""
     stem = module_name.rsplit(".", 1)[-1]
     if stem.startswith("test_bench_"):
         stem = stem[len("test_bench_"):]
     elif stem.startswith("test_"):
         stem = stem[len("test_"):]
-    return os.path.join(BENCH_DIR, "BENCH_%s.json" % stem)
+    return os.path.join(FRESH_DIR, "BENCH_%s.json" % stem)
 
 
 def bench_seconds(benchmark, elapsed):
@@ -67,12 +72,14 @@ def bench_seconds(benchmark, elapsed):
 
 @pytest.fixture
 def bench_json(request):
-    """Record headline figures into the module's ``BENCH_*.json``.
+    """Record headline figures into the module's fresh
+    ``BENCH_*.json``.
 
     Returns ``record(key, **fields)``; entries merge into the existing
     file so every test of a module lands in one document.
     """
     path = bench_path(request.module.__name__)
+    os.makedirs(FRESH_DIR, exist_ok=True)
 
     def record(key, **fields):
         data = {}

@@ -21,12 +21,14 @@ straight-line edge code at elaboration time:
    prove safe falls back to the interpreted loop, loudly via
    :attr:`CompiledEngine.fallback_reason`.
 
-The power monitor and the compliance engines are recorded and replayed
-in blocks through one protocol (:mod:`~repro.compiled.rowbatch`) on
-both engines: :meth:`repro.kernel.Simulator.run` arms the recorders,
-whichever loop runs.  The batch modules are therefore imported on any
-first simulation, while the engine and its code generator load only
-when :class:`CompiledEngine` is first used.
+The power monitor, the compliance engines and the fuzz coverage
+probe's bus monitor are recorded and replayed in blocks through one
+protocol (:mod:`~repro.compiled.rowbatch`) on both engines:
+:meth:`repro.kernel.Simulator.run` arms the recorders, whichever loop
+runs.  The monitor and checker batch modules are therefore imported on
+any first simulation (the probe's kind lives beside the probe), while
+the engine and its code generator load only when
+:class:`CompiledEngine` is first used.
 
 Typical use::
 

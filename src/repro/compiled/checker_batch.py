@@ -108,10 +108,10 @@ class CheckerBatch(RowBatch):
             for rule_id in rule.emits:
                 if engine._severity_for(rule_id) != "record":
                     return False
-        self._live_only[0] = self._burst_poisoned()
+        self._live_only[0] = self._stays_live()
         return True
 
-    def _burst_poisoned(self):
+    def _stays_live(self):
         """True when a burst is open with control values the live
         rule raises on at its next SEQ beat (left by a diverted row
         or a restored checkpoint)."""
@@ -121,10 +121,6 @@ class CheckerBatch(RowBatch):
                 if not (0 <= ctrl[2] <= 7 and ctrl[1] >= 0):
                     return True
         return False
-
-    def _divert(self):
-        super()._divert()
-        self._live_only[0] = self._burst_poisoned()
 
     # -- evaluation ----------------------------------------------------
 

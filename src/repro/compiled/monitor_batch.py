@@ -12,6 +12,15 @@ byte-identical.  This module keeps only what is the monitor's own:
 those columns and guards, the static and per-run eligibility checks
 and the NumPy replay.
 
+A run batches unless a power-FSM sink needs per-cycle time stamps:
+``traces``, ``datafile`` and ``instruction_log`` keep the live monitor,
+and so does a ``tracer`` without the block hook ``on_modes(codes)``.
+A tracer with it (the fuzz coverage probe's) is called once per
+replayed block with the block's per-cycle mode codes (indices into
+:data:`repro.power.instructions.MODES`), after the ledger is charged;
+cycles that run live, or replay through the scalar step, reach its
+``on_step`` as before.
+
 :meth:`GlobalPowerMonitor._step` is the one scalar reference for a
 cycle: the live monitor runs it on every clock edge, and the replay
 falls back to it row by row when a value is beyond int64.  The NumPy
@@ -33,16 +42,14 @@ is the contract, not an aspiration:
 
 from __future__ import annotations
 
-from ..power.instructions import BusMode, instruction_name
+from ..power.instructions import MODES, instruction_name
 from ..power.ledger import InstructionStats
 from ..power.monitors import GlobalPowerMonitor
 from .rowbatch import RowBatch, _np
 
-#: Fixed mode encoding used only inside the batch.
-_MODES = (BusMode.IDLE, BusMode.IDLE_HO, BusMode.READ, BusMode.WRITE)
-_MODE_CODE = {mode: code for code, mode in enumerate(_MODES)}
-_INSTR = tuple(instruction_name(src, dst) for src in _MODES
-               for dst in _MODES)
+_MODE_CODE = {mode: code for code, mode in enumerate(MODES)}
+_INSTR = tuple(instruction_name(src, dst) for src in MODES
+               for dst in MODES)
 _RESP_NAMES = ("OKAY", "ERROR", "RETRY", "SPLIT")
 
 #: Signal widths above this cannot be masked inside int64 arrays.
@@ -102,10 +109,15 @@ class MonitorBatch(RowBatch):
 
     def eligible(self):
         """Per-run sinks check: a power-FSM sink that consumes
-        per-cycle time stamps keeps the live monitor."""
+        per-cycle time stamps keeps the live monitor.  A tracer
+        batches only when it has the block hook ``on_modes`` (the fuzz
+        coverage probe's); one with ``on_step`` alone, such as
+        telemetry's or a probe chained to it, keeps the monitor live."""
         fsm = self.owner.fsm
         return (fsm.traces is None and fsm.datafile is None
-                and fsm.instruction_log is None and fsm.tracer is None)
+                and fsm.instruction_log is None
+                and (fsm.tracer is None
+                     or getattr(fsm.tracer, "on_modes", None) is not None))
 
     def _replay(self, row):
         # Batched cycles carry no time stamp: batching runs only when
@@ -232,7 +244,8 @@ class MonitorBatch(RowBatch):
 
         Reproduces ``PowerFsm.step`` → ``EnergyLedger.charge_cycle``
         plus the monitor's per-master chargeback for every cycle, with
-        float additions in exactly the live order.
+        float additions in exactly the live order, then hands the
+        block's mode codes to the FSM's tracer, if any.
         """
         monitor = self.owner
         fsm = monitor.fsm
@@ -295,5 +308,7 @@ class MonitorBatch(RowBatch):
         ledger.cycles += count
         for resp in resp_order:
             ledger.response_energy[_RESP_NAMES[resp]] = resp_by_code[resp]
-        fsm.state = _MODES[prev]
+        fsm.state = MODES[prev]
         fsm.cycles += count
+        if fsm.tracer is not None:
+            fsm.tracer.on_modes(modes)

@@ -1,12 +1,13 @@
 """The record/replay protocol shared by every batched bus observer.
 
 A consumer that observes the bus every rising edge (the power monitor,
-each compliance engine) does not run its per-cycle method while it
-batches: its process calls a generated *recorder* that appends one
-tuple of committed values per cycle, and :meth:`RowBatch.flush` hands
-the buffered rows to the consumer's block kernel.  Both engines use the
-same batch object, found once per consumer by
-:attr:`repro.kernel.Simulator.batches`, and one arming point:
+each compliance engine, the fuzz coverage probe's bus monitor) does
+not run its per-cycle method while it batches: its process calls a
+generated *recorder* that appends one tuple of committed values per
+cycle, and :meth:`RowBatch.flush` hands the buffered rows to the
+consumer's block kernel.  Both engines use the same batch object,
+found once per consumer by :attr:`repro.kernel.Simulator.batches`,
+and one arming point:
 :meth:`repro.kernel.Simulator.run` points the consumer's process at the
 recorder for the whole call, whichever loop runs it (the interpreted
 loop, the compiled engine's emitted edges, generic edges and
@@ -24,7 +25,9 @@ row cap.
 * the range guards: a cycle with a value the live method raises on is
   never recorded — the recorder flushes the rows before it and runs
   the live method, so the error, its attribution and the torn state it
-  leaves are those of the per-cycle path;
+  leaves are those of the per-cycle path; a consumer whose live cycle
+  can leave state that keeps later cycles live (``holds_live``) has
+  it re-evaluated after every such cycle;
 * the row cap (:data:`_FLUSH_ROWS`);
 * :meth:`~RowBatch.flush`, which replays the block through the
   consumer's scalar reference, row by row, when NumPy cannot hold a
@@ -65,7 +68,9 @@ class RowBatch:
     owner_types = ()
     #: Whether the recorder also tests ``_live_only`` — set by a
     #: consumer whose live cycle can leave state that keeps the
-    #: following cycles live too.
+    #: following cycles live too.  Such a consumer defines
+    #: ``_stays_live()``, which its ``eligible()`` and every diverted
+    #: cycle store in ``_live_only``.
     holds_live = False
 
     def __init_subclass__(cls, **kwargs):
@@ -129,7 +134,7 @@ class RowBatch:
         code = compile(source, "<repro.compiled.%s-recorder>"
                        % type(self).__name__, "exec")
         exec(code, namespace)
-        return namespace["_rec"]
+        return namespace.pop("_rec")
 
     def _divert(self):
         """Run this cycle live, after the rows before it; a raise
@@ -137,6 +142,8 @@ class RowBatch:
         self.flush()
         self.live_diverts += 1
         self.live()
+        if self.holds_live:
+            self._live_only[0] = self._stays_live()
 
     # -- replay --------------------------------------------------------
 

@@ -46,7 +46,7 @@ def execute_payload(payload, wall_clock_budget=None):
     supervisor can merge worker snapshots reproducibly.
     """
     from ..faults.campaign import result_from_execution
-    from ..replay import RunSpec, execute
+    from ..replay import RunSpec, close_system, execute
     from ..telemetry import metrics_for_result
 
     probe = None
@@ -79,6 +79,7 @@ def execute_payload(payload, wall_clock_budget=None):
     result.metrics = metrics_for_result(result)
     if probe is not None:
         result.coverage = probe.coverage_keys(system, outcome)
+    close_system(system)
     return result.to_dict()
 
 

@@ -28,14 +28,28 @@ quantities (never host time), so the key set — like the run fingerprint
 system (via :func:`repro.replay.execute`'s ``instrument`` callback) and
 extracts the key set afterwards; :class:`CoverageMap` is the campaign-
 wide accumulation the engine steers by.
+
+Neither hook runs per cycle on a run that batches
+(:mod:`repro.compiled.rowbatch`, either engine): the bus monitor is a
+record/replay consumer of its own, and the power hook receives the
+mode codes of every block the batched power monitor replays.  So the
+``bus:``, ``burst:``, ``resp:`` and ``power:`` keys come from replayed
+blocks.  Cycles diverted to a live method, runs with a kernel observer
+and power FSMs with a per-cycle sink (or a telemetry tracer the power
+hook chains to) add the same keys cycle by cycle.  Every run ends with
+a flush, so the probe's checkpointed state is current between
+``run`` calls.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from ..amba.types import HBURST, HRESP, HTRANS, is_active
+from ..compiled.rowbatch import RowBatch, _np
 from ..kernel import Module
+from ..power.instructions import MODES
 
 #: Coverage-map file format marker.
 FORMAT = "repro-fuzz-coverage/1"
@@ -55,30 +69,90 @@ class _BusCoverageMonitor(Module):
 
     def _on_clk(self):
         bus = self.bus
-        htrans = bus.htrans.value
+        self._observe(bus.htrans.value, bus.hburst.value,
+                      bus.hresp.value)
+
+    def _observe(self, htrans, hburst, hresp):
+        """One cycle's keys from its committed HTRANS, HBURST and
+        HRESP codes."""
         if self._prev_htrans is not None \
                 and htrans != self._prev_htrans:
             self.keys.add("bus:%s->%s" % (HTRANS(self._prev_htrans).name,
                                           HTRANS(htrans).name))
         self._prev_htrans = htrans
         if is_active(htrans):
-            self.keys.add("burst:%s" % HBURST(bus.hburst.value).name)
-        hresp = bus.hresp.value
+            self.keys.add("burst:%s" % HBURST(hburst).name)
         if hresp != int(HRESP.OKAY):
             self.keys.add("resp:%s" % HRESP(hresp).name)
+
+
+class _BusCoverageBatch(RowBatch):
+    """Recorder + block replay for one :class:`_BusCoverageMonitor`.
+
+    A row holds HTRANS, HBURST and HRESP.  A code the enum
+    constructors of :meth:`_BusCoverageMonitor._observe` raise on runs
+    the live method, and so does every cycle while the stored HTRANS
+    is such a code (a diverted cycle or a restored snapshot left it):
+    its next change raises there.
+    """
+
+    live_function = _BusCoverageMonitor._on_clk
+    owner_types = (_BusCoverageMonitor,)
+    holds_live = True
+
+    def __init__(self, process):
+        bus = process.fn.__self__.bus
+        super().__init__(process, (bus.htrans, bus.hburst, bus.hresp),
+                         ((0, 0, 3), (1, 0, 7), (2, 0, 3)))
+
+    def eligible(self):
+        self._live_only[0] = self._stays_live()
+        return True
+
+    def _stays_live(self):
+        prev = self.owner._prev_htrans
+        return prev is not None and not 0 <= prev <= 3
+
+    def _replay(self, row):
+        self.owner._observe(*row)
+
+    def _flush_np(self, rows):
+        monitor = self.owner
+        keys = monitor.keys
+        htrans, hburst, hresp = _np.array(rows, dtype=_np.int64).T
+        prev = _np.empty_like(htrans)
+        prev[0] = htrans[0] if monitor._prev_htrans is None \
+            else monitor._prev_htrans
+        prev[1:] = htrans[:-1]
+        changed = prev != htrans
+        for pair in _np.unique(prev[changed] * 4
+                               + htrans[changed]).tolist():
+            keys.add("bus:%s->%s" % (HTRANS(pair >> 2).name,
+                                     HTRANS(pair & 3).name))
+        for code in _np.unique(hburst[htrans >= int(HTRANS.NONSEQ)]) \
+                .tolist():
+            keys.add("burst:%s" % HBURST(code).name)
+        for code in _np.unique(hresp[hresp != int(HRESP.OKAY)]).tolist():
+            keys.add("resp:%s" % HRESP(code).name)
+        monitor._prev_htrans = int(htrans[-1])
 
 
 class _PowerCoverage:
     """Power-FSM tracer hook recording state-transition pairs.
 
-    Chains to any tracer already attached so telemetry and coverage can
-    coexist on one monitor.
+    ``on_step`` sees one cycle; ``on_modes`` sees a block the batched
+    monitor replayed, so the monitor need not run per cycle.  Chains
+    to any tracer already attached so telemetry and coverage can
+    coexist on one monitor; the chained tracer needs every cycle, so a
+    chained hook withdraws ``on_modes`` and the monitor stays live.
     """
 
     def __init__(self, keys, chained=None):
         self.keys = keys
         self.chained = chained
         self._prev = None
+        if chained is not None:
+            self.on_modes = None
 
     def on_step(self, time_ps, mode, instruction, block_energies,
                 total, response):
@@ -88,6 +162,17 @@ class _PowerCoverage:
         if self.chained is not None:
             self.chained.on_step(time_ps, mode, instruction,
                                  block_energies, total, response)
+
+    def on_modes(self, codes):
+        """The pairs of a replayed block: *codes* are its per-cycle
+        modes as indices into :data:`~repro.power.instructions.MODES`."""
+        first = codes[0] if self._prev is None \
+            else MODES.index(self._prev)
+        for before, after in set(zip(chain((first,), codes), codes)):
+            if before != after:
+                self.keys.add("power:%s->%s" % (MODES[before].name,
+                                                MODES[after].name))
+        self._prev = MODES[codes[-1]]
 
 
 def _latency_bucket(cycles):

@@ -215,8 +215,9 @@ class Simulator:
     @property
     def batches(self):
         """The record/replay batch of every batchable stock per-cycle
-        consumer (the power monitor, each compliance engine), one per
-        consumer and shared by both engines.
+        consumer (the power monitor, each compliance engine, the fuzz
+        coverage probe's bus monitor), one per consumer and shared by
+        both engines.
 
         A batch counts ``rows_replayed`` and ``live_diverts``, so a run
         can tell which path ran.  Processes are looked up in
@@ -449,6 +450,45 @@ class Simulator:
         """Request the current :meth:`run` call to return at the next
         delta boundary (usable from inside processes)."""
         self._stop_requested = True
+
+    def close(self):
+        """Release a finished simulation to reference counting.
+
+        Processes hold bound methods of their modules and every kernel
+        object points back at the simulator, so a discarded design is
+        a reference cycle that waits for the cyclic garbage collector,
+        possibly for many runs.  Closing drops each process's
+        callables and each batch's recorder, and empties the
+        simulator's containers.  The models on those cycles (masters,
+        slaves, monitors, checkers) and their data are then freed with
+        the last outside reference; only small cycles are left to the
+        collector: processes and the events they wait on, and models
+        that point at each other themselves, such as a bus and its
+        sub-blocks.  A closed simulator cannot run again.
+        """
+        if self._running:
+            raise SimulationError("cannot close a running simulator")
+        for process in self._processes:
+            process.run_fn = None
+            if isinstance(process, MethodProcess):
+                process.fn = None
+            else:
+                process._gen = None
+        for batch in self._batches:
+            # the recorder's namespace holds the batch's own methods
+            batch.recorder = None
+        self._processes = []
+        self._signals = []
+        self._events = []
+        self._timed = []
+        self._runnable = []
+        self._update_queue = []
+        self._delta_events = []
+        self._state_providers = {}
+        self._batches = ()
+        self._batch_scan = 0
+        self._scheduler = None
+        self._observer = None
 
     def run(self, until=None, max_time_steps=None,
             wall_clock_budget=None):

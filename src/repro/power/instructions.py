@@ -27,6 +27,12 @@ class BusMode(Enum):
         return self.value
 
 
+#: The modes by integer code, in definition order.  A batched replay
+#: hands a power-FSM tracer's ``on_modes`` hook its block's per-cycle
+#: modes as codes indexing this tuple.
+MODES = tuple(BusMode)
+
+
 def classify_mode(htrans, hwrite, handover):
     """Classify one cycle's activity mode.
 

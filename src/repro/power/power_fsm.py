@@ -38,6 +38,11 @@ class PowerFsm:
         #: Optional telemetry hook (e.g.
         #: :class:`repro.telemetry.PowerTracer`); its ``on_step`` is
         #: called once per cycle.  Costs one ``None`` check when unset.
+        #: A tracer that also has ``on_modes(codes)`` lets the global
+        #: monitor batch: each replayed block then calls it once with
+        #: the block's per-cycle modes as codes into
+        #: :data:`~repro.power.instructions.MODES`
+        #: (:mod:`repro.compiled.monitor_batch`).
         self.tracer = tracer
         self.state = BusMode.IDLE
         self.instruction_log = None

@@ -23,6 +23,7 @@ from .trace import (
     RunOutcome,
     RunSpec,
     campaign_spec,
+    close_system,
     execute,
 )
 from .verify import DivergenceReport, compare_streams, verify_digests
@@ -36,6 +37,7 @@ __all__ = [
     "RunSpec",
     "ShrinkResult",
     "campaign_spec",
+    "close_system",
     "compare_streams",
     "default_predicate",
     "execute",

@@ -28,7 +28,7 @@ revisits subsets freely without re-simulating.
 
 from __future__ import annotations
 
-from .trace import execute
+from .trace import close_system, execute
 
 
 def _violation_kind(rule_id):
@@ -120,7 +120,8 @@ class _Evaluator:
         key = spec.key()
         if key not in self.cache:
             self.executions += 1
-            _, outcome = execute(spec)
+            system, outcome = execute(spec)
+            close_system(system)
             self.cache[key] = (bool(self.predicate(outcome)), outcome)
         return self.cache[key][0]
 
@@ -198,7 +199,8 @@ def shrink(spec, predicate=None, min_duration_us=0.5):
     Returns a :class:`ShrinkResult`.  Raises ``ValueError`` when the
     original spec does not satisfy the predicate (nothing to shrink).
     """
-    _, original = execute(spec)
+    system, original = execute(spec)
+    close_system(system)
     if predicate is None:
         if not original.failing:
             raise ValueError(

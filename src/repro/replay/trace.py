@@ -482,6 +482,17 @@ def execute(spec, wall_clock_budget=None, instrument=None,
     return system, outcome
 
 
+def close_system(system):
+    """Free a system :func:`execute` returned, once its caller is done
+    with it (:meth:`repro.kernel.Simulator.close`).  A no-op for a
+    transaction-level system or ``None``; callers that run design
+    after design (pool workers, the shrinker) otherwise hold finished
+    designs until a full garbage collection."""
+    sim = getattr(system, "sim", None)
+    if sim is not None:
+        sim.close()
+
+
 def campaign_spec(scenario, fault="none", seed=1, duration_us=20.0,
                   slave_index=0, trigger_after=16, retry_limit=8,
                   retry_backoff=2, hready_timeout=16, retry_budget=6,
