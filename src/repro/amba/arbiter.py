@@ -31,11 +31,13 @@ from __future__ import annotations
 
 from ..kernel import Module
 from .config import Arbitration
-from .types import HRESP, HTRANS, burst_beats, is_active
+from .types import ACTIVE_BY_CODE, HRESP, HTRANS, burst_beats, htrans_of
 
 # Hot-path constants (the grant/ownership methods run every cycle).
 _TRANS_IDLE = int(HTRANS.IDLE)
 _RESP_SPLIT = int(HRESP.SPLIT)
+_NONSEQ = HTRANS.NONSEQ
+_SEQ = HTRANS.SEQ
 
 
 class Arbiter(Module):
@@ -224,17 +226,17 @@ class Arbiter(Module):
         a SINGLE or fixed-length burst was accepted; undefined-length
         INCR bursts never raise it (the arbiter cannot know their end).
         """
-        htrans = HTRANS(self.bus_htrans._value)
-        if htrans == HTRANS.NONSEQ:
+        htrans = htrans_of(self.bus_htrans._value)
+        if htrans == _NONSEQ:
             self._beats_done = 1
             self._expected_beats = (
                 burst_beats(self.bus_hburst._value)
                 if self.bus_hburst is not None else 1
             )
-        elif htrans == HTRANS.SEQ:
+        elif htrans == _SEQ:
             self._beats_done += 1
         boundary = (
-            is_active(htrans)
+            ACTIVE_BY_CODE[htrans]
             and self._expected_beats is not None
             and self._beats_done >= self._expected_beats
         )

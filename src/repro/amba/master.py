@@ -23,7 +23,7 @@ from collections import deque
 
 from ..kernel import Module
 from .transactions import Beat, txn_from_state, txn_state
-from .types import HRESP, HTRANS
+from .types import HRESP, HTRANS, hresp_of
 
 # Hot-path constants: the per-cycle drive methods run once per master
 # per clock cycle, where even the IntEnum→int conversion shows up.
@@ -31,6 +31,8 @@ _TRANS_IDLE = int(HTRANS.IDLE)
 _TRANS_BUSY = int(HTRANS.BUSY)
 _TRANS_NONSEQ = int(HTRANS.NONSEQ)
 _TRANS_SEQ = int(HTRANS.SEQ)
+_OKAY = HRESP.OKAY
+_REISSUE = (HRESP.RETRY, HRESP.SPLIT)
 
 
 class TrafficSource:
@@ -134,7 +136,20 @@ class AhbMaster(Module):
         bus = self.bus
         if not bus.hready._value:
             self.wait_cycles += 1
-            self._handle_stalled_response(HRESP(bus.hresp._value))
+            self._handle_stalled_response(hresp_of(bus.hresp._value))
+            return
+
+        if self._data_beat is None and self._addr_beat is None \
+                and self._current is None and self._idle_countdown <= 0 \
+                and not self._queue and self.source is None:
+            # Nothing to do and nothing to pull (the default master):
+            # the full path below would make exactly these writes.
+            port = self.port
+            port.htrans.write(_TRANS_IDLE)
+            if port.hgrant._value:
+                self.idle_owned_cycles += 1
+            port.hbusreq.write(0)
+            port.hlock.write(0)
             return
 
         self._complete_data_phase()
@@ -163,7 +178,7 @@ class AhbMaster(Module):
     def _handle_stalled_response(self, resp):
         """First cycle of a two-cycle non-OKAY response: cancel the
         transfer currently in its (extended) address phase."""
-        if resp == HRESP.OKAY or self._addr_beat is None:
+        if resp == _OKAY or self._addr_beat is None:
             return
         cancelled = self._addr_beat
         self._addr_beat = None
@@ -176,16 +191,16 @@ class AhbMaster(Module):
         if beat is None:
             return
         self._data_beat = None
-        resp = HRESP(self.bus.hresp._value)
+        resp = hresp_of(self.bus.hresp._value)
         txn = beat.txn
         txn.responses.append(resp)
-        if resp == HRESP.OKAY:
+        if resp == _OKAY:
             if not beat.write:
                 txn.rdata.append(self.bus.hrdata._value)
             self.beats_completed += 1
             if beat.last:
                 self._finish_transaction(txn)
-        elif resp in (HRESP.RETRY, HRESP.SPLIT):
+        elif resp in _REISSUE:
             txn.retries += 1
             self.retries_seen += 1
             if self.retry_limit is not None and \

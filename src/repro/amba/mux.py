@@ -12,7 +12,7 @@ the paper (Fig. 6).
 from __future__ import annotations
 
 from ..kernel import Module
-from .types import HRESP, HTRANS, is_active
+from .types import HRESP, is_active_code
 
 # Per-cycle drive constants (both multiplexers run in the hot cascade).
 _RESP_OKAY = int(HRESP.OKAY)
@@ -157,7 +157,7 @@ class SlaveToMasterMux(Module):
             return
         self.dsel.write(self.decoder_selected._value)
         self.dactive.write(
-            1 if is_active(HTRANS(self.bus.htrans._value)) else 0
+            1 if is_active_code(self.bus.htrans._value) else 0
         )
 
     # -- checkpoint support ---------------------------------------------

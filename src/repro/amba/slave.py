@@ -11,10 +11,15 @@ ERROR to NONSEQ/SEQ).
 from __future__ import annotations
 
 from ..kernel import Module
-from .types import HRESP, HTRANS, is_active, size_bytes
+from .types import HRESP, hresp_of, is_active_code, size_bytes
 
-# Per-cycle drive constant (every slave writes hresp each cycle).
+# Per-cycle constants (every slave writes hresp each cycle; a member
+# looked up on the enum class costs more than a module global).
 _RESP_OKAY = int(HRESP.OKAY)
+_OKAY = HRESP.OKAY
+_ERROR = HRESP.ERROR
+_RETRY = HRESP.RETRY
+_SPLIT = HRESP.SPLIT
 
 
 class _PendingTransfer:
@@ -58,7 +63,7 @@ class AhbSlaveBase(Module):
         self.bus = bus
         self._pending = None
         self._waits_left = 0
-        self._response = HRESP.OKAY
+        self._response = _OKAY
         self._resp_cycles_left = 0
         self._stall_result = None
         self._stall_rdata = 0
@@ -98,17 +103,17 @@ class AhbSlaveBase(Module):
                 and bus_ready:
             transfer = self._pending
             self._pending = None
-            if self._response == HRESP.OKAY and transfer.write:
+            if self._response == _OKAY and transfer.write:
                 self._do_write(transfer.address, transfer.size,
                                bus.hwdata._value)
                 self.writes += 1
-            elif self._response == HRESP.OKAY:
+            elif self._response == _OKAY:
                 self.reads += 1
-            self._response = HRESP.OKAY
+            self._response = _OKAY
 
         # 2. Sample a new address phase.
         if bus_ready and port.hsel._value and \
-                is_active(HTRANS(bus.htrans._value)):
+                is_active_code(bus.htrans._value):
             transfer = _PendingTransfer(
                 bus.haddr._value, bool(bus.hwrite._value),
                 bus.hsize._value, bus.hburst._value,
@@ -119,28 +124,33 @@ class AhbSlaveBase(Module):
             self._stall_result = None
             self._waits_left = None if waits is None \
                 else max(0, int(waits))
-            self._response = HRESP(response)
+            self._response = hresp_of(response)
             if self._waits_left is None and \
-                    self._response != HRESP.OKAY:
+                    self._response != _OKAY:
                 raise ValueError(
                     "stalled transfers must start with an OKAY plan")
-            if self._response != HRESP.OKAY:
+            if self._response != _OKAY:
                 # Two-cycle response: one (or more) wait cycles showing
                 # the response with HREADY low, then the final cycle.
                 self._resp_cycles_left = max(1, self._waits_left)
                 self._count_response(self._response)
 
-        # 3. Drive the data phase outputs for the coming cycle.
-        self._drive_outputs()
+        # 3. Drive the data phase outputs for the coming cycle.  With
+        # no transfer pending that is the idle HREADYOUT=1 / OKAY pair.
+        if self._pending is None:
+            port.hready_out.write(1)
+            port.hresp.write(_RESP_OKAY)
+        else:
+            self._drive_outputs()
 
     def _count_response(self, response):
         """Tally a non-OKAY response by kind (RETRY and SPLIT are
         distinct protocol flows and are counted separately)."""
-        if response == HRESP.ERROR:
+        if response == _ERROR:
             self.error_responses += 1
-        elif response == HRESP.RETRY:
+        elif response == _RETRY:
             self.retry_responses += 1
-        elif response == HRESP.SPLIT:
+        elif response == _SPLIT:
             self.split_responses += 1
 
     def _finish_stall(self, response=HRESP.OKAY, rdata=None):
@@ -151,14 +161,11 @@ class AhbSlaveBase(Module):
         """
         if self._waits_left is not None:
             raise RuntimeError("no stalled transfer to finish")
-        self._stall_result = (HRESP(response), rdata)
+        self._stall_result = (hresp_of(response), rdata)
 
     def _drive_outputs(self):
+        """Drive the data-phase outputs of the pending transfer."""
         port = self.port
-        if self._pending is None:
-            port.hready_out.write(1)
-            port.hresp.write(_RESP_OKAY)
-            return
         if self._waits_left is None:
             if self._stall_result is None:
                 port.hready_out.write(0)
@@ -170,10 +177,10 @@ class AhbSlaveBase(Module):
             self._response = response
             if rdata is not None:
                 self._stall_rdata = rdata
-            if response != HRESP.OKAY:
+            if response != _OKAY:
                 self._resp_cycles_left = 1
                 self._count_response(response)
-        if self._response != HRESP.OKAY:
+        if self._response != _OKAY:
             port.hresp.write(int(self._response))
             if self._resp_cycles_left > 0:
                 self._resp_cycles_left -= 1
@@ -286,13 +293,13 @@ class MemorySlave(AhbSlaveBase):
     def _begin_transfer(self, transfer):
         offset = self._offset(transfer.address)
         if offset < 0 or (self.size is not None and offset >= self.size):
-            return (self.wait_states, HRESP.ERROR)
+            return (self.wait_states, _ERROR)
         if transfer.address in self.fail_addresses:
-            return (self.wait_states, HRESP.ERROR)
+            return (self.wait_states, _ERROR)
         if self.retry_period and \
                 self.transfers_accepted % self.retry_period == 0:
-            return (self.wait_states, HRESP.RETRY)
-        return (self.wait_states, HRESP.OKAY)
+            return (self.wait_states, _RETRY)
+        return (self.wait_states, _OKAY)
 
     def _do_read(self, address, size):
         local = self._offset(address)
@@ -366,13 +373,13 @@ class SplitCapableSlave(MemorySlave):
                     initialize=False)
 
     def _begin_transfer(self, transfer):
-        master = self.bus.hmaster.value
+        master = self.bus.hmaster._value
         if master in self._must_serve:
             # The retried access of a previously split master.
             self._must_serve.discard(master)
             return super()._begin_transfer(transfer)
         waits, response = super()._begin_transfer(transfer)
-        if response != HRESP.OKAY:
+        if response != _OKAY:
             return (waits, response)
         self._new_transfers += 1
         if self.split_period and \
@@ -380,7 +387,7 @@ class SplitCapableSlave(MemorySlave):
                 master not in self._split_countdowns:
             self._split_countdowns[master] = self.split_latency
             self.splits_issued += 1
-            return (0, HRESP.SPLIT)
+            return (0, _SPLIT)
         return (waits, response)
 
     def _split_timer(self):
@@ -428,7 +435,7 @@ class DefaultSlave(AhbSlaveBase):
     """
 
     def _begin_transfer(self, transfer):
-        return (0, HRESP.ERROR)
+        return (0, _ERROR)
 
     def _do_read(self, address, size):  # pragma: no cover - never OKAY
         return 0

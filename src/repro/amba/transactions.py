@@ -75,35 +75,54 @@ class AhbTransaction:
         Number of BUSY cycles inserted between burst beats.
     """
 
+    __slots__ = ("id", "write", "address", "hsize", "hburst", "locked",
+                 "idle_cycles_before", "busy_between_beats", "beats",
+                 "data", "_addresses", "rdata", "responses", "retries",
+                 "error", "abort_reason", "done", "issue_time",
+                 "complete_time")
+
     def __init__(self, write, address, data=None, hsize=HSIZE.WORD,
                  hburst=HBURST.SINGLE, beats=None, locked=False,
                  idle_cycles_before=0, busy_between_beats=0):
+        # Traffic generation is most of a transaction-level run and
+        # builds one of these per transaction, so an argument already
+        # of its stored type is not converted again, and the write data
+        # is masked in a loop (a comprehension costs a frame of its own).
         global _next_txn_id
         self.id = _next_txn_id
         _next_txn_id += 1
-        self.write = write = bool(write)
-        self.address = address = int(address)
-        self.hsize = hsize = (hsize if type(hsize) is HSIZE
-                              else HSIZE(hsize))
-        self.hburst = hburst = (hburst if type(hburst) is HBURST
-                                else HBURST(hburst))
-        self.locked = bool(locked)
-        self.idle_cycles_before = int(idle_cycles_before)
-        self.busy_between_beats = int(busy_between_beats)
+        self.write = write = True if write else False
+        if type(address) is not int:
+            address = int(address)
+        self.address = address
+        if type(hsize) is not HSIZE:
+            hsize = HSIZE(hsize)
+        self.hsize = hsize
+        if type(hburst) is not HBURST:
+            hburst = HBURST(hburst)
+        self.hburst = hburst
+        self.locked = True if locked else False
+        self.idle_cycles_before = (
+            idle_cycles_before if type(idle_cycles_before) is int
+            else int(idle_cycles_before))
+        self.busy_between_beats = (
+            busy_between_beats if type(busy_between_beats) is int
+            else int(busy_between_beats))
 
         fixed = _BEATS[hburst]
         if fixed is None:
             if beats is None:
                 beats = 1 if data is None else len(data)
-            self.beats = beats = int(beats)
+            beats = int(beats)
+            if beats < 1:
+                raise ValueError("transaction needs at least one beat")
+        elif beats is not None and beats != fixed:
+            raise ValueError(
+                "%s bursts have %d beats" % (hburst.name, fixed)
+            )
         else:
-            if beats is not None and beats != fixed:
-                raise ValueError(
-                    "%s bursts have %d beats" % (hburst.name, fixed)
-                )
-            self.beats = beats = fixed
-        if beats < 1:
-            raise ValueError("transaction needs at least one beat")
+            beats = fixed
+        self.beats = beats
         step = 1 << hsize
         if address % step:
             raise ValueError(
@@ -114,24 +133,21 @@ class AhbTransaction:
             if data is None:
                 raise ValueError("write transaction needs data")
             mask = (1 << (8 * step)) - 1
-            self.data = data = [value & mask for value in data]
+            masked = []
+            for value in data:
+                masked.append(value & mask)
+            self.data = data = masked
             if len(data) != beats:
                 raise ValueError(
                     "write burst of %d beats got %d data items"
                     % (beats, len(data))
                 )
+        elif data is not None:
+            raise ValueError("read transaction takes no data")
         else:
-            if data is not None:
-                raise ValueError("read transaction takes no data")
             self.data = None
 
-        if beats == 1:
-            self.addresses = [address]
-        elif _WRAPS[hburst]:
-            self.addresses = burst_addresses(address, hburst, hsize)
-        else:
-            self.addresses = [address + index * step
-                              for index in range(beats)]
+        self._addresses = None
 
         # -- results filled in by the master BFM ------------------------
         self.rdata = []
@@ -155,6 +171,28 @@ class AhbTransaction:
     def write_single(cls, address, value, **kwargs):
         """Convenience constructor for a single-beat write."""
         return cls(True, address, data=[value], **kwargs)
+
+    @property
+    def addresses(self):
+        """Every beat's address, in issue order.
+
+        Built on first use: the cycle-accurate master asks once per
+        beat, a transaction-level run never does.
+        """
+        addresses = self._addresses
+        if addresses is None:
+            address = self.address
+            if self.beats == 1:
+                addresses = [address]
+            elif _WRAPS[self.hburst]:
+                addresses = burst_addresses(address, self.hburst,
+                                            self.hsize)
+            else:
+                step = 1 << self.hsize
+                addresses = list(range(address,
+                                       address + self.beats * step, step))
+            self._addresses = addresses
+        return addresses
 
     def beat_address(self, index):
         """Return the address of beat *index*."""

@@ -61,6 +61,51 @@ class HSIZE(IntEnum):
 _BEATS = (1, None, 4, 4, 8, 8, 16, 16)
 _WRAPS = (False, False, True, False, True, False, True, False)
 
+#: Members by code, and whether each ``HTRANS`` code addresses a slave.
+#: The per-cycle model bodies look bus codes up here through
+#: :func:`htrans_of`, :func:`hresp_of`, :func:`hburst_of` and
+#: :func:`is_active_code`: an enum constructor costs about 1 µs, a dict
+#: lookup a few tens of ns.  A code missing from a table is out of
+#: range (a stuck-at fault can drive one); it goes to the constructor,
+#: which raises the usual ``ValueError``.
+HTRANS_BY_CODE = {member.value: member for member in HTRANS}
+HRESP_BY_CODE = {member.value: member for member in HRESP}
+HBURST_BY_CODE = {member.value: member for member in HBURST}
+ACTIVE_BY_CODE = {member.value: member in (HTRANS.NONSEQ, HTRANS.SEQ)
+                  for member in HTRANS}
+
+
+def htrans_of(code):
+    """``HTRANS(code)``, from :data:`HTRANS_BY_CODE`."""
+    try:
+        return HTRANS_BY_CODE[code]
+    except (KeyError, TypeError):
+        return HTRANS(code)
+
+
+def hresp_of(code):
+    """``HRESP(code)``, from :data:`HRESP_BY_CODE`."""
+    try:
+        return HRESP_BY_CODE[code]
+    except (KeyError, TypeError):
+        return HRESP(code)
+
+
+def hburst_of(code):
+    """``HBURST(code)``, from :data:`HBURST_BY_CODE`."""
+    try:
+        return HBURST_BY_CODE[code]
+    except (KeyError, TypeError):
+        return HBURST(code)
+
+
+def is_active_code(code):
+    """``is_active(HTRANS(code))``, from :data:`ACTIVE_BY_CODE`."""
+    try:
+        return ACTIVE_BY_CODE[code]
+    except (KeyError, TypeError):
+        return is_active(HTRANS(code))
+
 
 def size_bytes(hsize):
     """Return the number of bytes moved per beat for *hsize*."""
@@ -73,16 +118,12 @@ def burst_beats(hburst):
     ``HBURST.INCR`` (undefined length) returns ``None``; the master
     decides when the burst ends.
     """
-    if type(hburst) is not HBURST:
-        hburst = HBURST(hburst)
-    return _BEATS[hburst]
+    return _BEATS[hburst_of(hburst)]
 
 
 def is_wrapping(hburst):
     """True when *hburst* is one of the wrapping burst kinds."""
-    if type(hburst) is not HBURST:
-        hburst = HBURST(hburst)
-    return _WRAPS[hburst]
+    return _WRAPS[hburst_of(hburst)]
 
 
 def aligned(address, hsize):
@@ -100,8 +141,7 @@ def next_burst_address(address, hburst, hsize):
     boundary of ``beats * size_bytes`` (spec §3.5.4): a WRAP4 of word
     transfers at 0x38 proceeds 0x38, 0x3C, 0x30, 0x34.
     """
-    if type(hburst) is not HBURST:
-        hburst = HBURST(hburst)
+    hburst = hburst_of(hburst)
     step = size_bytes(hsize)
     if not _WRAPS[hburst]:
         return address + step
@@ -115,8 +155,7 @@ def burst_addresses(start, hburst, hsize, beats=None):
 
     ``beats`` is required (and only allowed) for ``HBURST.INCR``.
     """
-    if type(hburst) is not HBURST:
-        hburst = HBURST(hburst)
+    hburst = hburst_of(hburst)
     fixed = _BEATS[hburst]
     if fixed is None:
         if beats is None:

@@ -35,6 +35,9 @@ from __future__ import annotations
 from ..kernel import Module
 from .types import HRESP
 
+#: The RETRY code the retry-storm check compares the bus against.
+_RESP_RETRY = int(HRESP.RETRY)
+
 
 class WatchdogEvent:
     """One recorded liveness hazard."""
@@ -135,7 +138,7 @@ class AhbWatchdog(Module):
         self._check_splits()
 
     def _check_stall(self):
-        if self.bus.hready.value:
+        if self.bus.hready._value:
             self._stall_streak = 0
             return
         self._stall_streak += 1
@@ -151,21 +154,21 @@ class AhbWatchdog(Module):
         self._record(
             "hready-stall",
             "HREADY low for %d cycles (data-phase owner M%d)"
-            % (self.hready_timeout, self.bus.hmaster_d.value),
+            % (self.hready_timeout, self.bus.hmaster_d._value),
             recovered,
         )
 
     def _check_retries(self):
         bus = self.bus
-        if not bus.hready.value:
+        if not bus.hready._value:
             return
-        if not bus.s2m_mux.dactive.value:
+        if not bus.s2m_mux.dactive._value:
             # No data phase completed this cycle (address re-issue,
             # backoff or idle cycles): neither a RETRY completion nor
             # evidence the storm broke, so the count must hold.
             return
-        owner = bus.hmaster_d.value
-        if bus.hresp.value == int(HRESP.RETRY):
+        owner = bus.hmaster_d._value
+        if bus.hresp._value == _RESP_RETRY:
             count = self._retry_counts.get(owner, 0) + 1
             self._retry_counts[owner] = count
             if count <= self.retry_budget:
@@ -186,7 +189,7 @@ class AhbWatchdog(Module):
             self._retry_counts[owner] = 0
 
     def _check_splits(self):
-        mask = self.bus.arbiter.split_mask.value
+        mask = self.bus.arbiter.split_mask._value
         for index in list(self._split_age):
             if not (mask >> index) & 1:
                 del self._split_age[index]

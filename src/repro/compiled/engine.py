@@ -112,6 +112,15 @@ class CompiledEngine:
         """Remove this engine from its simulator (idempotent)."""
         self.sim.uninstall_scheduler(self)
 
+    def close(self):
+        """Empty the generated edge functions' shared namespace, which
+        holds the functions themselves and this engine's bound methods
+        (:meth:`Simulator.close` calls it; the engine cannot run
+        afterwards)."""
+        for rising, _ in self._edges.values():
+            rising.__globals__.clear()
+        self._edges = {}
+
     # -- scheduler protocol --------------------------------------------
 
     def run(self, sim, until, max_time_steps, wall_clock_budget):

@@ -88,3 +88,33 @@ class Module:
 
     def __repr__(self):
         return "%s(%r)" % (type(self).__name__, self.name)
+
+
+def unlink_trees(members):
+    """Break the back-references of every module tree holding one of
+    *members*, so the trees are freed by reference counting.
+
+    A tree's back-references are each module's ``parent`` and every
+    other attribute naming one of its ancestors (a bus's sub-blocks
+    point at the bus); the parent's ``children`` lists are emptied
+    too.  :meth:`Simulator.close` calls this once the design has run
+    for the last time.
+    """
+    roots = {}
+    for module in members:
+        while module.parent is not None:
+            module = module.parent
+        roots[id(module)] = module
+    for root in roots.values():
+        _unlink(root, ())
+
+
+def _unlink(module, ancestors):
+    children = module.children
+    module.children = []
+    for name, value in list(vars(module).items()):
+        if any(value is ancestor for ancestor in ancestors):
+            setattr(module, name, None)
+    ancestors += (module,)
+    for child in children:
+        _unlink(child, ancestors)

@@ -29,6 +29,7 @@ from .errors import (
     WallClockDeadlineError,
 )
 from .events import Event, MethodProcess, ThreadProcess
+from .module import Module, unlink_trees
 from .time import format_time
 
 #: The record/replay batch kind of each stock per-cycle consumer,
@@ -167,7 +168,8 @@ class Simulator:
         returning ``False``, in which case the built-in delta-cycle
         loop handles the call.  At most one scheduler is installed at a
         time; the :mod:`repro.compiled` engine is the only current
-        implementation.
+        implementation.  A scheduler may also expose ``close()``, which
+        :meth:`close` calls to let it drop what it built for the design.
         """
         if self._scheduler is not None:
             raise SimulationError(
@@ -461,22 +463,39 @@ class Simulator:
         callables and each batch's recorder, and empties the
         simulator's containers.  The models on those cycles (masters,
         slaves, monitors, checkers) and their data are then freed with
-        the last outside reference; only small cycles are left to the
-        collector: processes and the events they wait on, and models
-        that point at each other themselves, such as a bus and its
-        sub-blocks.  A closed simulator cannot run again.
+        the last outside reference.  Closing also empties each event's
+        waiter lists, drops each signal's watchers and injection hook,
+        and unlinks the module trees the processes belong to
+        (:func:`~repro.kernel.module.unlink_trees`), so no part of the
+        design is left to the cyclic collector.  A closed simulator
+        cannot run again.
         """
         if self._running:
             raise SimulationError("cannot close a running simulator")
+        owners = []
         for process in self._processes:
             process.run_fn = None
             if isinstance(process, MethodProcess):
+                owner = getattr(process.fn, "__self__", None)
+                if isinstance(owner, Module):
+                    owners.append(owner)
                 process.fn = None
             else:
                 process._gen = None
+                process._pending_events = ()
+        unlink_trees(owners)
+        for event in self._events:
+            event._static_waiters.clear()
+            event._dynamic_waiters.clear()
+        for signal in self._signals:
+            signal._watchers = None
+            signal._inject = None
         for batch in self._batches:
             # the recorder's namespace holds the batch's own methods
             batch.recorder = None
+        close_scheduler = getattr(self._scheduler, "close", None)
+        if close_scheduler is not None:
+            close_scheduler()
         self._processes = []
         self._signals = []
         self._events = []
@@ -484,6 +503,8 @@ class Simulator:
         self._runnable = []
         self._update_queue = []
         self._delta_events = []
+        self._spare_runnable = []
+        self._spare_updates = []
         self._state_providers = {}
         self._batches = ()
         self._batch_scan = 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from ..amba.types import HTRANS
+from ..amba.types import is_active_code
 
 
 class BusMode(Enum):
@@ -49,8 +49,7 @@ def classify_mode(htrans, hwrite, handover):
     BUSY cycles burn no data-path energy beyond idle and are folded
     into IDLE, matching the coarse four-mode decomposition.
     """
-    transfer = HTRANS(htrans) in (HTRANS.NONSEQ, HTRANS.SEQ)
-    if transfer:
+    if is_active_code(htrans):
         return BusMode.WRITE if hwrite else BusMode.READ
     return BusMode.IDLE_HO if handover else BusMode.IDLE
 

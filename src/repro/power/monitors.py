@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from operator import attrgetter
 
-from ..amba.types import HRESP, HTRANS
+from ..amba.types import HTRANS, hresp_of
 from ..kernel import Module
 from .activity import Activity
 from .hamming import hamming
@@ -138,7 +138,7 @@ class _BusPowerMonitor(Module):
         mode = classify_mode(htrans, hwrite, handover=handover)
         if energies is None:
             energies = self._energies(mode)
-        self.fsm.step(now, mode, energies, response=HRESP(hresp).name)
+        self.fsm.step(now, mode, energies, response=hresp_of(hresp).name)
 
     @property
     def total_energy(self):

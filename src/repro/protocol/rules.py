@@ -47,13 +47,25 @@ Every rule's ``check(prev, view)`` receives the previous and current
 from __future__ import annotations
 
 from ..amba.types import (
-    HBURST,
     HRESP,
     HTRANS,
     aligned,
-    is_active,
+    hburst_of,
+    hresp_of,
+    htrans_of,
+    is_active_code,
     next_burst_address,
 )
+
+# Codes and members the per-cycle checks compare against (a member
+# looked up on the enum class costs more than a module global).
+_TRANS_IDLE = int(HTRANS.IDLE)
+_TRANS_CONTINUE = (int(HTRANS.SEQ), int(HTRANS.BUSY))
+_RESP_OKAY = int(HRESP.OKAY)
+_RESP_RETRY = int(HRESP.RETRY)
+_NONSEQ = HTRANS.NONSEQ
+_SEQ = HTRANS.SEQ
+_BUSY = HTRANS.BUSY
 
 
 class CycleView:
@@ -70,21 +82,21 @@ class CycleView:
     def __init__(self, bus, cycle, time):
         self.cycle = cycle
         self.time = time
-        self.htrans = bus.htrans.value
-        self.haddr = bus.haddr.value
-        self.hwrite = bus.hwrite.value
-        self.hsize = bus.hsize.value
-        self.hburst = bus.hburst.value
-        self.hready = bus.hready.value
-        self.hresp = bus.hresp.value
-        self.hmaster = bus.hmaster.value
-        self.hmaster_d = bus.hmaster_d.value
-        self.hsels = tuple(port.hsel.value for port in bus.slave_ports) \
-            + (bus.default_slave_port.hsel.value,)
-        self.hgrants = tuple(port.hgrant.value
+        self.htrans = bus.htrans._value
+        self.haddr = bus.haddr._value
+        self.hwrite = bus.hwrite._value
+        self.hsize = bus.hsize._value
+        self.hburst = bus.hburst._value
+        self.hready = bus.hready._value
+        self.hresp = bus.hresp._value
+        self.hmaster = bus.hmaster._value
+        self.hmaster_d = bus.hmaster_d._value
+        self.hsels = tuple(port.hsel._value for port in bus.slave_ports) \
+            + (bus.default_slave_port.hsel._value,)
+        self.hgrants = tuple(port.hgrant._value
                              for port in bus.master_ports)
-        self.split_mask = bus.arbiter.split_mask.value
-        self.dactive = bus.s2m_mux.dactive.value
+        self.split_mask = bus.arbiter.split_mask._value
+        self.dactive = bus.s2m_mux.dactive._value
 
     def snapshot(self):
         """JSON-friendly dict of the signal values this cycle."""
@@ -248,7 +260,7 @@ class AlignmentRule(Rule):
     emits = ("alignment",)
 
     def check(self, prev, view):
-        if is_active(HTRANS(view.htrans)) and \
+        if is_active_code(view.htrans) and \
                 not aligned(view.haddr, view.hsize):
             yield ("alignment",
                    "address %#x unaligned for HSIZE=%d"
@@ -263,12 +275,12 @@ class TwoCycleResponseRule(Rule):
     emits = ("two-cycle-response",)
 
     def check(self, prev, view):
-        if view.hresp == int(HRESP.OKAY) or not view.hready:
+        if view.hresp == _RESP_OKAY or not view.hready:
             return
         if prev is None or prev.hready or prev.hresp != view.hresp:
             yield ("two-cycle-response",
                    "final %s cycle not preceded by a wait cycle with "
-                   "the same response" % HRESP(view.hresp).name)
+                   "the same response" % hresp_of(view.hresp).name)
 
 
 class StallStabilityRule(Rule):
@@ -281,8 +293,8 @@ class StallStabilityRule(Rule):
     def check(self, prev, view):
         if prev is None or prev.hready:
             return
-        cancelled = (view.htrans == int(HTRANS.IDLE)
-                     and prev.hresp != int(HRESP.OKAY))
+        cancelled = (view.htrans == _TRANS_IDLE
+                     and prev.hresp != _RESP_OKAY)
         if cancelled:
             return
         held = (view.htrans == prev.htrans and view.haddr == prev.haddr
@@ -305,13 +317,13 @@ class IdleResponseRule(Rule):
     def check(self, prev, view):
         if prev is None or not prev.hready:
             return
-        if prev.htrans != int(HTRANS.IDLE):
+        if prev.htrans != _TRANS_IDLE:
             return
-        if not view.hready or view.hresp != int(HRESP.OKAY):
+        if not view.hready or view.hresp != _RESP_OKAY:
             yield ("idle-okay",
                    "IDLE transfer answered HREADY=%d/%s instead of a "
                    "zero-wait OKAY"
-                   % (view.hready, HRESP(view.hresp).name))
+                   % (view.hready, hresp_of(view.hresp).name))
 
 
 class GrantHandoverRule(Rule):
@@ -326,10 +338,10 @@ class GrantHandoverRule(Rule):
             return
         if view.hmaster == prev.hmaster:
             return
-        if view.htrans in (int(HTRANS.SEQ), int(HTRANS.BUSY)):
+        if view.htrans in _TRANS_CONTINUE:
             yield ("grant-handover",
                    "new owner M%d drove %s in its first address phase"
-                   % (view.hmaster, HTRANS(view.htrans).name))
+                   % (view.hmaster, htrans_of(view.htrans).name))
 
 
 class BurstSequenceRule(Rule):
@@ -351,19 +363,19 @@ class BurstSequenceRule(Rule):
     def check(self, prev, view):
         if prev is None or not prev.hready:
             return  # the previous address phase was not accepted
-        htrans = HTRANS(view.htrans)
-        if htrans == HTRANS.NONSEQ:
+        htrans = htrans_of(view.htrans)
+        if htrans == _NONSEQ:
             self._in_burst = True
             self._burst_addr = view.haddr
             self._burst_ctrl = (view.hwrite, view.hsize, view.hburst,
                                 view.hmaster)
-        elif htrans == HTRANS.SEQ:
+        elif htrans == _SEQ:
             if not self._in_burst:
                 yield ("seq-without-nonseq",
                        "SEQ transfer with no open burst")
                 return
             expected = next_burst_address(
-                self._burst_addr, HBURST(self._burst_ctrl[2]),
+                self._burst_addr, hburst_of(self._burst_ctrl[2]),
                 self._burst_ctrl[1],
             )
             if view.haddr != expected:
@@ -376,7 +388,7 @@ class BurstSequenceRule(Rule):
                        "control changed mid-burst: %r -> %r"
                        % (self._burst_ctrl, ctrl))
             self._burst_addr = view.haddr
-        elif htrans == HTRANS.BUSY:
+        elif htrans == _BUSY:
             if not self._in_burst:
                 yield ("busy-outside-burst",
                        "BUSY transfer with no open burst")
@@ -452,7 +464,7 @@ class RetryLivelockRule(Rule):
             # No data phase completed this cycle; the streak holds.
             return
         owner = view.hmaster_d
-        if view.hresp == int(HRESP.RETRY):
+        if view.hresp == _RESP_RETRY:
             count = self._counts.get(owner, 0) + 1
             self._counts[owner] = count
             if count == self.limit + 1:

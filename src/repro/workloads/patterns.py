@@ -24,6 +24,27 @@ from ..amba.types import HBURST, HSIZE, burst_beats, size_bytes
 from ..state.rng import load_rng_state, rng_state
 
 
+def _randrange(rng, start, stop):
+    """``rng.randrange(start, stop)``: the same draws, for less.
+
+    The library call checks and coerces its arguments, then draws
+    ``start + rng._randbelow(stop - start)``, which takes
+    ``getrandbits(k)`` for ``k = width.bit_length()`` until the value
+    falls below the width.  The wrapper is most of the cost of a small
+    draw, and most generated transactions draw one.  An empty range
+    goes to the library, which raises.
+    """
+    width = stop - start
+    if width <= 0:
+        return rng.randrange(start, stop)
+    bits = width.bit_length()
+    getrandbits = rng.getrandbits
+    value = getrandbits(bits)
+    while value >= width:
+        value = getrandbits(bits)
+    return start + value
+
+
 class BoundedSource(TrafficSource):
     """Common bookkeeping: issue budget and generated-transaction log."""
 
@@ -38,7 +59,9 @@ class BoundedSource(TrafficSource):
                 and self.issued >= self.max_transactions)
 
     def next_transaction(self, now):
-        if self.exhausted():
+        # exhausted(), inlined: it runs once per generated transaction
+        limit = self.max_transactions
+        if limit is not None and self.issued >= limit:
             return None
         txn = self._generate(now)
         if txn is not None:
@@ -181,18 +204,21 @@ class DmaBurstSource(BoundedSource):
         self._write_next = True
 
     def _generate(self, now):
+        rng = self.rng
         beats = burst_beats(self.burst) or 8
-        step = size_bytes(self.hsize)
+        step = 1 << self.hsize
         span = beats * step
-        base, size = self.rng.choice(self.regions)
+        base, size = rng.choice(self.regions)
         if size < span:
             raise ValueError("region smaller than one burst")
-        address = base + self.rng.randrange(0, size // span) * span
-        idle = self.rng.randint(*self.idle_range)
+        address = base + _randrange(rng, 0, size // span) * span
+        # randint(low, high) is randrange(low, high + 1): the same draw
+        low, high = self.idle_range
+        idle = _randrange(rng, low, high + 1)
         write = self._write_next
         self._write_next = not self._write_next
         if write:
-            getrandbits = self.rng.getrandbits
+            getrandbits = rng.getrandbits
             data = [getrandbits(8 * step) for _ in range(beats)]
             return AhbTransaction(True, address, data=data,
                                   hburst=self.burst, hsize=self.hsize,
@@ -232,7 +258,8 @@ class CpuLikeSource(BoundedSource):
 
     def _generate(self, now):
         rng = self.rng
-        step = size_bytes(self.hsize)
+        hsize = self.hsize
+        step = 1 << hsize
         base, size = self._region
         if rng.random() < self.jump_probability:
             self._region = rng.choice(self.regions)
@@ -244,13 +271,12 @@ class CpuLikeSource(BoundedSource):
             self._cursor = base
         # randint(low, high) is randrange(low, high + 1): the same draw
         low, high = self.idle_range
-        idle = rng.randrange(low, high + 1)
+        idle = _randrange(rng, low, high + 1)
         if rng.random() < self.read_fraction:
-            return AhbTransaction(False, address, hsize=self.hsize,
+            return AhbTransaction(False, address, hsize=hsize,
                                   idle_cycles_before=idle)
         data = rng.getrandbits(8 * step)
-        return AhbTransaction(True, address, data=[data],
-                              hsize=self.hsize,
+        return AhbTransaction(True, address, data=[data], hsize=hsize,
                               idle_cycles_before=idle)
 
     def state_dict(self):

@@ -231,6 +231,29 @@ class TestSimulatorClose:
             if enabled:
                 gc.enable()
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_closed_design_leaves_nothing_to_the_collector(self, engine):
+        spec = campaign_spec("portable-audio-player", "none", seed=3,
+                             duration_us=2.0).replace(engine=engine)
+        execute(spec)  # first-use imports and caches
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            system, outcome = execute(spec)
+            system.sim.close()
+            del system, outcome
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                assert gc.collect() == 0
+                assert gc.garbage == []
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+        finally:
+            if enabled:
+                gc.enable()
+
 
 hypothesis = pytest.importorskip("hypothesis")
 

@@ -98,6 +98,22 @@ class TestOtherSources:
                          if b - a == 4 or b < a)
         assert sequential == len(addresses) - 1
 
+    def test_randrange_draws_as_the_library(self):
+        import random
+
+        from repro.workloads.patterns import _randrange
+        for seed in range(20):
+            ours, library = random.Random(seed), random.Random(seed)
+            for start, stop in ((0, 1), (0, 3), (2, 11), (-5, 5),
+                                (0, 1 << 40), (7, 8 + seed)):
+                assert [_randrange(ours, start, stop)
+                        for _ in range(50)] == \
+                    [library.randrange(start, stop) for _ in range(50)]
+            assert ours.getstate() == library.getstate()
+        for start, stop in ((3, 3), (4, 2)):
+            with pytest.raises(ValueError, match="empty range"):
+                _randrange(random.Random(0), start, stop)
+
     def test_replay_source(self):
         from repro.amba import AhbTransaction
         txns = [AhbTransaction.read(0), AhbTransaction.read(4)]
