@@ -461,8 +461,9 @@ class TlmSystem:
         faults = self.faults
         owner = self.arbiter.default_master
         owner_release = 0
+        started = _time.monotonic()
         deadline = (None if wall_clock_budget is None
-                    else _time.monotonic() + wall_clock_budget)
+                    else started + wall_clock_budget)
         iterations = 0
         for master in masters:
             if master.pending is None and not master.exhausted:
@@ -475,8 +476,8 @@ class TlmSystem:
                 self._finalize_energy()
                 self.clk.cycles = self._cycle
                 raise WallClockDeadlineError(
-                    "tlm wall-clock budget of %.1fs exceeded at bus "
-                    "cycle %d" % (wall_clock_budget, self._cycle))
+                    _time.monotonic() - started, wall_clock_budget,
+                    self._cycle * self.period)
             if faults:
                 # Split-blocking only ever arises from an armed fault,
                 # so fault-free runs skip the per-iteration scan.

@@ -60,3 +60,20 @@ def small_system():
 @pytest.fixture
 def small_system_waits():
     return SmallSystem(wait_states=(1, 2))
+
+
+class NoOpObserver:
+    """A kernel observer that records nothing.  Attaching one keeps
+    every record/replay consumer on its per-cycle method on both
+    engines."""
+
+    def on_process(self, process, now, seconds):
+        pass
+
+    def on_settle(self, now, deltas):
+        pass
+
+
+def per_cycle(system):
+    """``execute`` instrument: keep every consumer per-cycle."""
+    system.sim.attach_observer(NoOpObserver())

@@ -35,6 +35,7 @@ from repro.faults.campaign import CONTAINED_OUTCOMES
 from repro.replay import FaultEntry, campaign_spec, execute
 from repro.state import CheckpointPlan
 from repro.workloads import build_paper_testbench
+from tests.conftest import per_cycle as _per_cycle
 
 DURATION_US = 20          # 2000 cycles at 100 MHz — enough to split,
                           # retry and hand the bus over many times
@@ -133,22 +134,6 @@ class TestPaperTestbenchIdentity:
         assert engine.runs_compiled > 0, engine.fallback_reason
         assert c_digest == digest
         assert c_ledger == ledger
-
-
-class _NoOpObserver:
-    """A kernel observer that records nothing.  Attaching one keeps
-    every consumer on its per-cycle method on both engines."""
-
-    def on_process(self, process, now, seconds):
-        pass
-
-    def on_settle(self, now, deltas):
-        pass
-
-
-def _per_cycle(system):
-    """``execute`` instrument: force the live per-cycle path."""
-    system.sim.attach_observer(_NoOpObserver())
 
 
 def _rows(sim):

@@ -27,18 +27,9 @@ from repro.fuzz.warmstart import WarmStartCache
 from repro.power.monitors import GlobalPowerMonitor
 from repro.replay import FaultEntry, campaign_spec, execute
 from repro.telemetry import Telemetry
+from tests.conftest import NoOpObserver as _NoOpObserver
 
 ENGINES = ("interpreted", "compiled")
-
-
-class _NoOpObserver:
-    """Records nothing; attaching it keeps every consumer per-cycle."""
-
-    def on_process(self, process, now, seconds):
-        pass
-
-    def on_settle(self, now, deltas):
-        pass
 
 
 def _batch(sim, kind):

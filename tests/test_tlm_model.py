@@ -87,6 +87,20 @@ class TestFaultOutcomes:
         assert faulted.overhead_energy_j > 0
 
 
+class TestWallClockBudget:
+    def test_exhausted_budget_is_a_timeout(self):
+        """A TLM run past its host wall-clock budget times out like a
+        cycle-tier run: the error carries the elapsed time, the budget
+        and the simulated time reached."""
+        from repro.tlm import execute_tlm
+        spec = campaign_spec("portable-audio-player", seed=1,
+                             duration_us=2000.0).replace(tier="tlm")
+        system, outcome = execute_tlm(spec, wall_clock_budget=0.0)
+        assert outcome.outcome == "timeout", outcome.detail
+        assert "wall-clock budget exhausted" in outcome.detail
+        assert 0 < system.clk.cycles < 200_000
+
+
 class TestFidelityRefusal:
     def test_signal_fault_refused_not_approximated(self):
         """Signal-level faults need kernel wires the TLM does not
