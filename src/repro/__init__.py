@@ -76,8 +76,9 @@ def _load_batch_kinds():
     """Register the power monitor's and compliance engines' record/replay
     batches, which both engines run; imported on the first simulation.
     Each batch module registers its kind on import, and nothing else
-    imports them on an interpreted run."""
-    from .compiled import checker_batch, monitor_batch  # noqa: F401
+    imports them."""
+    from .power import monitor_batch  # noqa: F401
+    from .protocol import checker_batch  # noqa: F401
 
 
 _simulator.load_batch_kinds = _load_batch_kinds

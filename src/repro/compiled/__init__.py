@@ -21,14 +21,9 @@ straight-line edge code at elaboration time:
    prove safe falls back to the interpreted loop, loudly via
    :attr:`CompiledEngine.fallback_reason`.
 
-The power monitor, the compliance engines and the fuzz coverage
-probe's bus monitor are recorded and replayed in blocks through one
-protocol (:mod:`~repro.compiled.rowbatch`) on both engines:
-:meth:`repro.kernel.Simulator.run` arms the recorders, whichever loop
-runs.  The monitor and checker batch modules are therefore imported on
-any first simulation (the probe's kind lives beside the probe), while
-the engine and its code generator load only when
-:class:`CompiledEngine` is first used.
+The record/replay batches that both engines run live beside their
+consumers (:mod:`repro.kernel.rowbatch`); the engine and its code
+generator load only when :class:`CompiledEngine` is first used.
 
 Typical use::
 

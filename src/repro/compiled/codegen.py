@@ -12,7 +12,7 @@ exactly, but with every dynamic lookup resolved at compile time:
   process objects, in the posedge event's firing order (a compile-time
   constant, revalidated at every run) — through ``fn``, so a consumer
   whose process :meth:`~repro.kernel.Simulator.run` points at a batch
-  recorder (:mod:`repro.compiled.rowbatch`) records here too;
+  recorder (:mod:`repro.kernel.rowbatch`) records here too;
 * the error wrapper reproduces ``ProcessError`` attribution via a
   single enclosing try with a position counter instead of a per-call
   try;

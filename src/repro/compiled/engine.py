@@ -30,7 +30,7 @@ unchanged; the equivalence suite enforces this.
 edges and the settle loop call every process through its ``fn``, and
 :meth:`Simulator.run` points the ``fn`` of each eligible power monitor
 and compliance engine at its batch's recorder
-(:mod:`repro.compiled.rowbatch`) for the whole call, so the same
+(:mod:`repro.kernel.rowbatch`) for the whole call, so the same
 recorder runs on the emitted rising edge, on a generic edge, in the
 multi-domain loop and after a hand-off to the interpreted loop.
 """

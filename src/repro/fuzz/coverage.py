@@ -30,7 +30,7 @@ extracts the key set afterwards; :class:`CoverageMap` is the campaign-
 wide accumulation the engine steers by.
 
 Neither hook runs per cycle on a run that batches
-(:mod:`repro.compiled.rowbatch`, either engine): the bus monitor is a
+(:mod:`repro.kernel.rowbatch`, either engine): the bus monitor is a
 record/replay consumer of its own, and the power hook receives the
 mode codes of every block the batched power monitor replays.  So the
 ``bus:``, ``burst:``, ``resp:`` and ``power:`` keys come from replayed
@@ -47,7 +47,7 @@ import json
 from itertools import chain
 
 from ..amba.types import HBURST, HRESP, HTRANS, is_active
-from ..compiled.rowbatch import RowBatch, _np
+from ..kernel.rowbatch import RowBatch, _np
 from ..kernel import Module
 from ..power.instructions import MODES
 

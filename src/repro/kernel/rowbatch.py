@@ -37,12 +37,9 @@ row cap.
 
 from __future__ import annotations
 
-try:
-    import numpy as _np
-except ImportError:          # pragma: no cover - numpy is baked in
-    _np = None
+import numpy as _np
 
-from ..kernel.simulator import BATCH_KINDS
+from .simulator import BATCH_KINDS
 
 #: Recorder rows buffered before an automatic flush.  Bounds batch
 #: memory on arbitrarily long runs (a row is one tuple per cycle);
@@ -95,7 +92,7 @@ class RowBatch:
     @classmethod
     def batchable(cls, owner):
         """Static eligibility: can *owner* be batch-replayed at all?"""
-        return _np is not None and type(owner) in cls.owner_types
+        return type(owner) in cls.owner_types
 
     # -- recording -----------------------------------------------------
 
@@ -131,7 +128,7 @@ class RowBatch:
             "    if len(_rows) >= _cap:\n"
             "        _flush()\n"
             % ("".join(loads), " or ".join(tests), ", ".join(values)))
-        code = compile(source, "<repro.compiled.%s-recorder>"
+        code = compile(source, "<repro.kernel.rowbatch.%s-recorder>"
                        % type(self).__name__, "exec")
         exec(code, namespace)
         return namespace.pop("_rec")

@@ -34,7 +34,7 @@ from .time import format_time
 
 #: The record/replay batch kind of each stock per-cycle consumer,
 #: keyed by the function of the method it records.  Every kind
-#: registers itself (:class:`repro.compiled.rowbatch.RowBatch`); the
+#: registers itself (:class:`repro.kernel.rowbatch.RowBatch`); the
 #: kernel only looks method processes up here and imports no consumer.
 BATCH_KINDS = {}
 

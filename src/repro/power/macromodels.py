@@ -31,11 +31,18 @@ Arbiter
 term for the grant/owner registers, a request-activity term for the
 priority chain, and a handover term (two grant flops plus the
 ``HMASTER`` register toggling).
+
+Each model's energy expression is written once, in ``evaluate``, on
+numbers (a live cycle) or NumPy arrays (a batched block, whose float64
+elementwise ops round as CPython floats do); ``energy`` is the checked
+scalar API over it.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .ledger import BLOCK_ARB, BLOCK_DEC, BLOCK_M2S, BLOCK_S2M
 from .parameters import PAPER_TECHNOLOGY
@@ -70,11 +77,15 @@ class DecoderEnergyModel:
         """Energy of one cycle whose input code changed by *hd_in* bits."""
         if hd_in < 0:
             raise ValueError("negative Hamming distance")
-        hd_out = 1 if hd_in >= 1 else 0
+        return self.evaluate(hd_in)
+
+    def evaluate(self, hd_in):
+        """:meth:`energy` on a number or an array, unchecked.  The
+        one-hot output changes (``HD_OUT = 1``) iff ``HD_IN >= 1``."""
         params = self.params
         return params.half_cv2 * (
             self.input_coeff * params.c_pd * hd_in
-            + self.output_coeff * hd_out * params.c_o
+            + self.output_coeff * (hd_in >= 1) * params.c_o
         )
 
     def max_energy(self):
@@ -130,6 +141,11 @@ class MuxEnergyModel:
             raise ValueError("negative Hamming distance")
         if hd_out is None:
             hd_out = self.estimate_hd_out(hd_in, hd_sel)
+        return self.evaluate(hd_out, hd_sel)
+
+    def evaluate(self, hd_out, hd_sel):
+        """:meth:`energy` of an observed output on numbers or arrays,
+        unchecked."""
         params = self.params
         internal = (self.path_coeff * hd_out
                     + self.select_coeff * hd_sel)
@@ -188,15 +204,23 @@ class ArbiterEnergyModel:
         """
         if hd_req < 0:
             raise ValueError("negative Hamming distance")
+        return self.evaluate(hd_req, handover)
+
+    def evaluate(self, hd_req, handover):
+        """:meth:`energy` on numbers or arrays, unchecked.  The
+        handover term is added only where *handover* holds, never
+        multiplied by it (``inf * False`` is NaN)."""
         params = self.params
-        total = self.idle_energy()
-        total += params.half_cv2 * params.c_pd * self.request_coeff * hd_req
-        if handover:
-            total += params.half_cv2 * (
-                params.c_pd * self.handover_coeff
-                + params.c_o * 2.0  # two one-hot grant outputs toggle
-            )
-        return total
+        total = (self.idle_energy()
+                 + params.half_cv2 * params.c_pd * self.request_coeff
+                 * hd_req)
+        handed = total + params.half_cv2 * (
+            params.c_pd * self.handover_coeff
+            + params.c_o * 2.0  # two one-hot grant outputs toggle
+        )
+        if isinstance(handover, np.ndarray):
+            return np.where(handover, handed, total)
+        return handed if handover else total
 
     def __repr__(self):
         return "ArbiterEnergyModel(n_masters=%d)" % self.n_masters
@@ -217,7 +241,9 @@ def bus_macromodels(config, params):
 
 def block_energies(models, hd_m2s, hd_s2m, hd_dsel, hd_decode, hd_req,
                    handover):
-    """One cycle's energy per sub-block, keyed M2S, S2M, DEC, ARB.
+    """One cycle's energy per sub-block, keyed M2S, S2M, DEC, ARB; or,
+    given arrays of per-cycle observations, each block's per-cycle
+    energies.
 
     *models* holds the four macromodels as ``m2s_model``,
     ``s2m_model``, ``decoder_model`` and ``arbiter_model``.  Both
@@ -225,12 +251,10 @@ def block_energies(models, hd_m2s, hd_s2m, hd_dsel, hd_decode, hd_req,
     M2S select changes exactly when ownership is *handed over*.
     """
     return {
-        BLOCK_M2S: models.m2s_model.energy(
-            hd_in=hd_m2s, hd_sel=1 if handover else 0, hd_out=hd_m2s),
-        BLOCK_S2M: models.s2m_model.energy(
-            hd_in=hd_s2m, hd_sel=hd_dsel, hd_out=hd_s2m),
-        BLOCK_DEC: models.decoder_model.energy(hd_decode),
-        BLOCK_ARB: models.arbiter_model.energy(hd_req, handover),
+        BLOCK_M2S: models.m2s_model.evaluate(hd_m2s, handover),
+        BLOCK_S2M: models.s2m_model.evaluate(hd_s2m, hd_dsel),
+        BLOCK_DEC: models.decoder_model.evaluate(hd_decode),
+        BLOCK_ARB: models.arbiter_model.evaluate(hd_req, handover),
     }
 
 

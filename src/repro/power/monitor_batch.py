@@ -3,7 +3,7 @@
 The monitor's per-cycle step (activity sampling, four macromodel
 evaluations, FSM step, ledger charge) dominates interpreted runtime.
 On both engines the monitor is one consumer of the shared
-record/replay protocol (:mod:`repro.compiled.rowbatch`): its recorder
+record/replay protocol (:mod:`repro.kernel.rowbatch`): its recorder
 appends the committed values in the monitor's own
 :attr:`~GlobalPowerMonitor.columns` layout, and a cycle with an HTRANS
 or HRESP code outside 0..3 or a bus owner outside ``-n..n-1`` runs the
@@ -21,19 +21,17 @@ replayed block with the block's per-cycle mode codes (indices into
 cycles that run live, or replay through the scalar step, reach its
 ``on_step`` as before.
 
-:meth:`GlobalPowerMonitor._step` is the one scalar reference for a
-cycle: the live monitor runs it on every clock edge, and the replay
-falls back to it row by row when a value is beyond int64.  The NumPy
-replay here is the only other copy of that arithmetic, kept because it
-is the batched fast path.  Bit-identity with the scalar step
-is the contract, not an aspiration:
+:meth:`GlobalPowerMonitor._step` is the scalar reference for a cycle:
+the live monitor runs it on every clock edge, and the replay falls back
+to it row by row when a value is beyond int64.  Both charge
+:func:`repro.power.macromodels.block_energies`, which evaluates each
+macromodel's one expression on numbers or, here, on a block's arrays.
+Bit-identity with the scalar step is the contract, not an aspiration:
 
 * integer work (Hamming distances via ``np.bitwise_count``, ones
   counts, mode classification) is vectorized — integers are exact;
-* every floating-point expression reproduces the *operation order* of
-  the scalar code (constant subexpressions are pre-folded exactly as
-  Python's left-associative evaluation folds them; NumPy elementwise
-  float64 ops round identically to CPython float ops);
+* the energy expressions run elementwise on float64 arrays, which
+  round as CPython floats do;
 * sequential float accumulators (ledger totals, per-instruction and
   per-response energy, per-master chargeback) are replayed by an
   in-order Python loop — float addition is not associative, so they
@@ -42,10 +40,11 @@ is the contract, not an aspiration:
 
 from __future__ import annotations
 
-from ..power.instructions import MODES, instruction_name
-from ..power.ledger import InstructionStats
-from ..power.monitors import GlobalPowerMonitor
-from .rowbatch import RowBatch, _np
+from ..kernel.rowbatch import RowBatch, _np
+from .instructions import MODES, instruction_name
+from .ledger import InstructionStats
+from .macromodels import block_energies
+from .monitors import GlobalPowerMonitor
 
 _MODE_CODE = {mode: code for code, mode in enumerate(MODES)}
 _INSTR = tuple(instruction_name(src, dst) for src in MODES
@@ -191,31 +190,10 @@ class MonitorBatch(RowBatch):
         modes = _np.where(transfer, _np.where(hwrite != 0, 3, 2),
                           _np.where(ho_flag, 1, 0))
 
-        # ---- energies: same float64 ops in the same order ----
-        params = monitor.params
-        hv, cpd, co = params.half_cv2, params.c_pd, params.c_o
-        m2s_m, s2m_m = monitor.m2s_model, monitor.s2m_model
-        dec_m, arb_m = monitor.decoder_model, monitor.arbiter_model
-
-        hd_sel = handover.astype(_np.int64)        # hd_owner_code
-        t = m2s[0]
-        e_m2s = hv * (cpd * (m2s_m.path_coeff * t
-                             + m2s_m.select_coeff * hd_sel)
-                      + (m2s_m.output_coeff * co) * t)
-        t = s2m[0]
-        e_s2m = hv * (cpd * (s2m_m.path_coeff * t
-                             + s2m_m.select_coeff * hd_dsel)
-                      + (s2m_m.output_coeff * co) * t)
-        e_dec = hv * ((dec_m.input_coeff * cpd) * hd_dec
-                      + _np.where(hd_dec >= 1,
-                                  (dec_m.output_coeff * 1) * co,
-                                  (dec_m.output_coeff * 0) * co))
-        arb_idle = hv * params.c_clk * arb_m.n_flops
-        e_arb = arb_idle + (hv * cpd * arb_m.request_coeff) * arb[0]
-        e_arb = _np.where(
-            handover,
-            e_arb + hv * (cpd * arb_m.handover_coeff + co * 2.0),
-            e_arb)
+        # ---- energies: the macromodels' own expressions on arrays ----
+        e_m2s, e_s2m, e_dec, e_arb = block_energies(
+            monitor, m2s[0], s2m[0], hd_dsel, hd_dec, arb[0],
+            handover).values()
 
         # ---- apply integer state (order-independent sums) ----
         for activity, (_, hds, ones, lasts) in (

@@ -6,19 +6,20 @@
   sensitive to the bus clock, that observes the shared bus signals,
   evaluates the sub-block macromodels every cycle and drives the
   power FSM.  This is the reference model used for all paper
-  experiments.  Its per-cycle arithmetic lives in one scalar method,
+  experiments.  Its per-cycle step is one scalar method,
   :meth:`GlobalPowerMonitor._step`, run on every clock edge by the
   live method and by the batched replay whenever NumPy cannot hold the
-  recorded values; that replay's NumPy path
-  (:mod:`repro.compiled.monitor_batch`) is the only other copy.  On
-  both engines and on every clock domain a stock monitor, found by its
-  ``_on_clk`` process as compliance engines are, records one row per
-  cycle and is replayed in blocks through one protocol
-  (:mod:`repro.compiled.rowbatch`) that
+  recorded values; the replay's NumPy path
+  (:mod:`repro.power.monitor_batch`) charges the same macromodel
+  expressions (:func:`~repro.power.macromodels.block_energies`) on a
+  block's arrays.  On both engines and on every clock domain a stock
+  monitor, found by its ``_on_clk`` process as compliance engines are,
+  records one row per cycle and is replayed in blocks through one
+  protocol (:mod:`repro.kernel.rowbatch`) that
   :meth:`~repro.kernel.Simulator.run` arms; the live method runs per
-  cycle only when a power-FSM sink needs
-  per-cycle time stamps, a clock gate or clock tree is configured, or
-  a kernel observer is attached.
+  cycle only when a power-FSM sink needs per-cycle time stamps, a
+  clock gate or clock tree is configured, or a kernel observer is
+  attached.
 
 * :class:`LocalPowerMonitor` — "a particular process added to those
   already present in the module ... a system activity monitor".  It

@@ -42,7 +42,7 @@ class PowerFsm:
         #: monitor batch: each replayed block then calls it once with
         #: the block's per-cycle modes as codes into
         #: :data:`~repro.power.instructions.MODES`
-        #: (:mod:`repro.compiled.monitor_batch`).
+        #: (:mod:`repro.power.monitor_batch`).
         self.tracer = tracer
         self.state = BusMode.IDLE
         self.instruction_log = None

@@ -1,13 +1,12 @@
 """The runtime AHB compliance engine.
 
 :class:`ComplianceEngine` registers a kernel process on the bus clock
-that snapshots the committed shared signals every cycle
-(:class:`~repro.protocol.rules.CycleView`) and runs the rule catalogue
-of :mod:`repro.protocol.rules` over consecutive snapshots.  Every
-violation becomes a structured :class:`ProtocolViolation` carrying the
-kernel time, the cycle index, the rule id with its AMBA spec reference,
-and a full signal snapshot — enough to diff two runs or feed the
-replay shrinker without re-simulating.
+that records the committed shared signals every cycle and runs the
+rule catalogue of :mod:`repro.protocol.rules` over consecutive cycles.
+Every violation becomes a structured :class:`ProtocolViolation`
+carrying the kernel time, the cycle index, the rule id with its AMBA
+spec reference, and a full signal snapshot — enough to diff two runs
+or feed the replay shrinker without re-simulating.
 
 Severity is configurable per engine and per rule:
 
@@ -19,37 +18,40 @@ Severity is configurable per engine and per rule:
     Raise :class:`ProtocolComplianceError` at the violating cycle —
     the simulation dies exactly where the protocol does.
 
-On both engines a run in which every effective severity is ``record``
-does not call :meth:`_on_clk` each cycle:
+Each cycle the engine reads one row of committed values (its
+:attr:`~ComplianceEngine.columns`, then the time stamp) and runs the
+stock rules on it; a :class:`~repro.protocol.rules.CycleView` is built
+only for a violation's snapshot, the checkpointed previous cycle and a
+custom rule.  In a run where every effective severity is ``record``,
 :meth:`~repro.kernel.Simulator.run` points the engine's process at a
-recorder of the checked signal values instead, through the
-record/replay protocol the power monitor uses too
-(:mod:`repro.compiled.rowbatch`), and
-:mod:`repro.compiled.checker_batch` evaluates the rules over the
-recorded rows at the row cap and when the run returns, producing the
-identical violations, counters and rule state.  A run stays live, cycle
-by cycle, whenever a violation must act at its own cycle or the batch
-cannot prove it reproduces the rules: ``raise`` or ``warn`` severity
-(globally or through ``severity_overrides``), a rule that is not one
-of the stock catalogue classes, an engine subclass other than the
-:class:`~repro.amba.AhbProtocolChecker` facade, or a kernel
-observer.  The decision is taken afresh at every run, so
-assigning ``severity`` (or ``AhbProtocolChecker.strict``) between runs
-takes effect at the next one.
+recorder of the same rows on both engines, and
+:mod:`repro.protocol.checker_batch` replays the same rule definitions
+over blocks of them.  ``raise`` or ``warn`` severity (globally or
+through ``severity_overrides``), a custom rule, an engine subclass
+other than the :class:`~repro.amba.AhbProtocolChecker` facade, or a
+kernel observer keep the run on :meth:`_on_clk`, cycle by cycle.  The
+decision is taken afresh at every run, so assigning ``severity`` (or
+``AhbProtocolChecker.strict``) between runs takes effect at the next
+one.
 """
 
 from __future__ import annotations
 
 import sys
+from operator import attrgetter
 
 from ..kernel import Module
 from .rules import (
+    SEL,
     CycleView,
+    RowRule,
     advisory_rules,
     is_mandatory,
     mandatory_rules,
     rule_info,
 )
+
+_VALUE = attrgetter("_value")
 
 #: Accepted severity levels, least to most drastic.
 SEVERITIES = ("record", "warn", "raise")
@@ -171,13 +173,27 @@ class ComplianceEngine(Module):
                                         retry_limit=retry_limit,
                                         split_limit=split_limit)
         self.rules = list(rules)
+        #: The signals of a recorded row, in the column order of
+        #: :mod:`repro.protocol.rules`; the row ends with the time stamp.
+        self.columns = (
+            (bus.htrans, bus.haddr, bus.hwrite, bus.hsize, bus.hburst,
+             bus.hready, bus.hresp, bus.hmaster, bus.hmaster_d,
+             bus.arbiter.split_mask, bus.s2m_mux.dactive)
+            + tuple(port.hsel for port in bus.slave_ports)
+            + (bus.default_slave_port.hsel,)
+            + tuple(port.hgrant for port in bus.master_ports))
+        #: Column of the first HGRANT.
+        self._grant = SEL + len(bus.slave_ports) + 1
 
         #: Recorded :class:`ProtocolViolation` objects, in order.
         self.violations = []
         #: rule id -> violation count.
         self.rule_counts = {}
         self.cycles_checked = 0
+        #: The last checked row and its cycle (``None`` before the
+        #: first).
         self._prev = None
+        self._prev_cycle = None
         self._warned = set()
         self.method(self._on_clk, [bus.clk.posedge], name="check",
                     initialize=False)
@@ -243,18 +259,35 @@ class ComplianceEngine(Module):
             self._warned.add(rule_id)
             print("[%s] %r" % (self.name, violation), file=sys.stderr)
 
-    def _on_clk(self):
-        self._check(CycleView(self.bus, self.cycles_checked, self.sim.now))
+    def _view(self, row, cycle):
+        return CycleView(row, cycle, self._grant)
 
-    def _check(self, view):
-        """Run every rule over one cycle's *view* (the per-cycle
-        reference; the batch replays recorded rows through it when
-        NumPy cannot hold their values)."""
-        self.cycles_checked += 1
+    def _on_clk(self):
+        self._check((*map(_VALUE, self.columns), self.sim.now))
+
+    def _check(self, row):
+        """Run every rule over one recorded *row* (the per-cycle
+        reference; the batch replays rows through it when NumPy cannot
+        hold their values)."""
+        prev = self._prev
+        has_prev = prev is not None
+        cycle = self.cycles_checked
+        self.cycles_checked = cycle + 1
+        view = None
         for rule in self.rules:
-            for rule_id, message in rule.check(self._prev, view) or ():
+            if isinstance(rule, RowRule):
+                found = rule.scan(row, prev if has_prev else row,
+                                  has_prev, self._grant)
+            else:
+                view = view or self._view(row, cycle)
+                found = rule.check(
+                    self._view(prev, self._prev_cycle) if has_prev
+                    else None, view) or ()
+            for rule_id, message in found:
+                view = view or self._view(row, cycle)
                 self._flag(rule_id, message, view)
-        self._prev = view
+        self._prev = row
+        self._prev_cycle = cycle
 
     # -- checkpoint support ---------------------------------------------
 
@@ -265,8 +298,8 @@ class ComplianceEngine(Module):
             "violations": [v.to_dict() for v in self.violations],
             "rule_counts": dict(sorted(self.rule_counts.items())),
             "cycles_checked": self.cycles_checked,
-            "prev": self._prev.to_state() if self._prev is not None
-            else None,
+            "prev": self._view(self._prev, self._prev_cycle).to_state()
+            if self._prev is not None else None,
             "warned": sorted(self._warned),
             "rules": [rule.state_dict() for rule in self.rules],
         }
@@ -283,8 +316,8 @@ class ComplianceEngine(Module):
         self.rule_counts = dict(state["rule_counts"])
         self.cycles_checked = state["cycles_checked"]
         prev = state["prev"]
-        self._prev = CycleView.from_state(prev) if prev is not None \
-            else None
+        self._prev = prev and CycleView.row_of(prev)
+        self._prev_cycle = prev and prev["cycle"]
         self._warned = set(state["warned"])
         rule_states = state["rules"]
         if len(rule_states) != len(self.rules):

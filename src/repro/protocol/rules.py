@@ -38,65 +38,63 @@ every cycle is legal but the unbounded repetition marks a sick system
 ``split-release``         §3.12    a SPLIT master is eventually released
 ========================  =======  ==========================================
 
-Rules are stateless where possible; stateful ones (burst tracking,
-streak counters) keep their state private and expose ``reset()``.
-Every rule's ``check(prev, view)`` receives the previous and current
-:class:`CycleView` and yields ``(rule_id, message)`` pairs.
+Every stock rule is written once, over the rows a compliance engine
+records (one tuple of committed values per cycle, in the column order
+below), and runs on one row of Python ints live and on a block's int64
+columns in the batched replay (:mod:`repro.protocol.checker_batch`).
+A custom rule implements :meth:`Rule.check` over :class:`CycleView`
+objects instead and keeps the engine on its per-cycle path.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..amba.types import (
     HRESP,
     HTRANS,
-    aligned,
-    hburst_of,
     hresp_of,
     htrans_of,
     is_active_code,
     next_burst_address,
 )
 
-# Codes and members the per-cycle checks compare against (a member
-# looked up on the enum class costs more than a module global).
-_TRANS_IDLE = int(HTRANS.IDLE)
-_TRANS_CONTINUE = (int(HTRANS.SEQ), int(HTRANS.BUSY))
+#: Columns of a recorded row: the shared address/control and response
+#: signals, the owners, the arbiter's split mask and the S2M mux's
+#: ``dactive``; HSEL columns start at ``SEL``.
+(TRANS, ADDR, WRITE, SIZE, BURST, READY, RESP, OWNER, OWNER_D, SPLIT,
+ DACTIVE, SEL) = range(12)
+
+#: The :class:`CycleView` slots of the columns before ``SEL``.
+_LEADING = ("htrans", "haddr", "hwrite", "hsize", "hburst", "hready",
+            "hresp", "hmaster", "hmaster_d", "split_mask", "dactive")
+
+_IDLE = int(HTRANS.IDLE)
+_BUSY = int(HTRANS.BUSY)
+_NONSEQ = int(HTRANS.NONSEQ)
+_SEQ = int(HTRANS.SEQ)
 _RESP_OKAY = int(HRESP.OKAY)
 _RESP_RETRY = int(HRESP.RETRY)
-_NONSEQ = HTRANS.NONSEQ
-_SEQ = HTRANS.SEQ
-_BUSY = HTRANS.BUSY
 
 
 class CycleView:
-    """Committed values of the bus-visible signals at one rising edge.
-
-    Includes the shared (multiplexed) signals plus the arbitration and
-    selection vectors the one-hot and liveness rules need.
-    """
+    """Committed values of the bus-visible signals at one rising edge
+    (the shared signals plus the arbitration and selection vectors):
+    what a custom rule checks and a violation snapshots."""
 
     __slots__ = ("cycle", "time", "htrans", "haddr", "hwrite", "hsize",
                  "hburst", "hready", "hresp", "hmaster", "hmaster_d",
                  "hsels", "hgrants", "split_mask", "dactive")
 
-    def __init__(self, bus, cycle, time):
+    def __init__(self, row, cycle, grant):
+        """The view of recorded *row*, checked as *cycle*; its HGRANT
+        columns start at *grant*."""
         self.cycle = cycle
-        self.time = time
-        self.htrans = bus.htrans._value
-        self.haddr = bus.haddr._value
-        self.hwrite = bus.hwrite._value
-        self.hsize = bus.hsize._value
-        self.hburst = bus.hburst._value
-        self.hready = bus.hready._value
-        self.hresp = bus.hresp._value
-        self.hmaster = bus.hmaster._value
-        self.hmaster_d = bus.hmaster_d._value
-        self.hsels = tuple(port.hsel._value for port in bus.slave_ports) \
-            + (bus.default_slave_port.hsel._value,)
-        self.hgrants = tuple(port.hgrant._value
-                             for port in bus.master_ports)
-        self.split_mask = bus.arbiter.split_mask._value
-        self.dactive = bus.s2m_mux.dactive._value
+        for slot, value in zip(_LEADING, row):
+            setattr(self, slot, value)
+        self.hsels = row[SEL:grant]
+        self.hgrants = row[grant:-1]
+        self.time = row[-1]
 
     def snapshot(self):
         """JSON-friendly dict of the signal values this cycle."""
@@ -126,16 +124,12 @@ class CycleView:
         state["hgrants"] = list(self.hgrants)
         return state
 
-    @classmethod
-    def from_state(cls, state):
-        """Rebuild a view from :meth:`to_state` output without a bus."""
-        view = cls.__new__(cls)
-        for slot in cls.__slots__:
-            value = state[slot]
-            if slot in ("hsels", "hgrants"):
-                value = tuple(value)
-            setattr(view, slot, value)
-        return view
+    @staticmethod
+    def row_of(state):
+        """The recorded row of a :meth:`to_state` dump."""
+        return (tuple(state[slot] for slot in _LEADING)
+                + tuple(state["hsels"]) + tuple(state["hgrants"])
+                + (state["time"],))
 
 
 class RuleInfo:
@@ -204,7 +198,8 @@ def is_mandatory(rule_id):
 
 
 class Rule:
-    """Base class of a per-cycle assertion monitor.
+    """Base class of a per-cycle assertion monitor; a custom rule
+    implements :meth:`check`.
 
     ``emits`` names every rule id the monitor can flag (one monitor may
     guard several related catalogue entries, e.g. burst sequencing).
@@ -231,120 +226,175 @@ class Rule:
         raise NotImplementedError
 
 
-class SingleGrantRule(Rule):
+class RowRule(Rule):
+    """A stock rule, defined over recorded rows: *cur* is the checked
+    row, *prev* the row before it (a stand-in where *has_prev* is
+    false, on the first checked cycle) and *grant* the first HGRANT
+    column.  The engine calls :meth:`scan` on every row it checks
+    live."""
+
+    def holds_live(self):
+        """True while the rule's state makes a later row raise, so the
+        replay must leave every row to the live engine."""
+        return False
+
+
+class RowPredicate(RowRule):
+    """A stateless rule flagging one rule id.  ``hits(cur, prev,
+    has_prev, grant)`` is one predicate, built from comparisons joined
+    by ``&`` and ``|`` so that it means the same on a row and on a
+    block's columns (``cur[TRANS]`` is then a whole column; ``has_prev
+    == 0`` negates *has_prev* on both).  ``message(cur, prev, grant)``
+    describes a hit from the recorded rows."""
+
+    def scan(self, cur, prev, has_prev, grant):
+        if self.hits(cur, prev, has_prev, grant):
+            return ((self.emits[0], self.message(cur, prev, grant)),)
+        return ()
+
+
+class RowStep(RowRule):
+    """A stateful rule.  ``step(cur, prev, has_prev)`` advances its
+    private state over one recorded row tuple, in order, and yields
+    ``(rule_id, message)`` per violation.  The replay hands it only the
+    rows of the NumPy mask ``visits(cur, prev, has_prev)`` computes
+    from the block's columns and the state before it; a row outside the
+    mask must leave the state unchanged and emit nothing."""
+
+    def scan(self, cur, prev, has_prev, grant):
+        return self.step(cur, prev, has_prev)
+
+
+def _active(trans):
+    """HTRANS is NONSEQ or SEQ.  A Python code with no HTRANS member
+    raises as ``HTRANS(code)`` does; a column holds only the codes the
+    recorder's guard admits."""
+    if isinstance(trans, int):
+        return is_active_code(trans)
+    return (trans == _NONSEQ) | (trans == _SEQ)
+
+
+def _and_next(mask, carried):
+    """The rows of *mask* and each row after one; row 0 too when the
+    state *carried* into the block is not the rest state."""
+    visit = mask.copy()
+    visit[1:] |= mask[:-1]
+    visit[:1] |= carried
+    return visit
+
+
+class SingleGrantRule(RowPredicate):
     """HGRANT one-hot across masters (§3.11.3): the single-grant
     invariant — the bus has exactly one owner every cycle."""
 
     emits = ("hgrant-one-hot",)
 
-    def check(self, prev, view):
-        if sum(1 for grant in view.hgrants if grant) != 1:
-            yield ("hgrant-one-hot",
-                   "HGRANT vector %r is not one-hot" % (view.hgrants,))
+    def hits(self, cur, prev, has_prev, grant):
+        return sum(value != 0 for value in cur[grant:-1]) != 1
+
+    def message(self, cur, prev, grant):
+        return "HGRANT vector %r is not one-hot" % (cur[grant:-1],)
 
 
-class SingleSelectRule(Rule):
+class SingleSelectRule(RowPredicate):
     """HSEL one-hot across slaves including the default slave (§3.10)."""
 
     emits = ("hsel-one-hot",)
 
-    def check(self, prev, view):
-        if sum(1 for sel in view.hsels if sel) != 1:
-            yield ("hsel-one-hot",
-                   "HSEL vector %r is not one-hot" % (view.hsels,))
+    def hits(self, cur, prev, has_prev, grant):
+        return sum(value != 0 for value in cur[SEL:grant]) != 1
+
+    def message(self, cur, prev, grant):
+        return "HSEL vector %r is not one-hot" % (cur[SEL:grant],)
 
 
-class AlignmentRule(Rule):
+class AlignmentRule(RowPredicate):
     """Active transfers carry size-aligned addresses (§3.4)."""
 
     emits = ("alignment",)
 
-    def check(self, prev, view):
-        if is_active_code(view.htrans) and \
-                not aligned(view.haddr, view.hsize):
-            yield ("alignment",
-                   "address %#x unaligned for HSIZE=%d"
-                   % (view.haddr, view.hsize))
+    def hits(self, cur, prev, has_prev, grant):
+        offset = cur[ADDR] & ((1 << cur[SIZE]) - 1)
+        return _active(cur[TRANS]) & (offset != 0)
+
+    def message(self, cur, prev, grant):
+        return ("address %#x unaligned for HSIZE=%d"
+                % (cur[ADDR], cur[SIZE]))
 
 
-class TwoCycleResponseRule(Rule):
+class TwoCycleResponseRule(RowPredicate):
     """Non-OKAY responses follow the two-cycle protocol (§3.9.3): the
     final (``HREADY=1``) response cycle must be preceded by at least
     one ``HREADY=0`` cycle carrying the same response."""
 
     emits = ("two-cycle-response",)
 
-    def check(self, prev, view):
-        if view.hresp == _RESP_OKAY or not view.hready:
-            return
-        if prev is None or prev.hready or prev.hresp != view.hresp:
-            yield ("two-cycle-response",
-                   "final %s cycle not preceded by a wait cycle with "
-                   "the same response" % hresp_of(view.hresp).name)
+    def hits(self, cur, prev, has_prev, grant):
+        resp = cur[RESP]
+        return ((resp != _RESP_OKAY) & (cur[READY] != 0)
+                & ((has_prev == 0) | (prev[READY] != 0)
+                   | (prev[RESP] != resp)))
+
+    def message(self, cur, prev, grant):
+        return ("final %s cycle not preceded by a wait cycle with the "
+                "same response" % hresp_of(cur[RESP]).name)
 
 
-class StallStabilityRule(Rule):
+class StallStabilityRule(RowPredicate):
     """Address/control stable while the bus is stalled (§3.9.1), except
     for the spec-sanctioned cancel to IDLE during a non-OKAY response
     cycle (§3.9.3)."""
 
     emits = ("stall-stability",)
 
-    def check(self, prev, view):
-        if prev is None or prev.hready:
-            return
-        cancelled = (view.htrans == _TRANS_IDLE
-                     and prev.hresp != _RESP_OKAY)
-        if cancelled:
-            return
-        held = (view.htrans == prev.htrans and view.haddr == prev.haddr
-                and view.hwrite == prev.hwrite
-                and view.hsize == prev.hsize
-                and view.hburst == prev.hburst)
-        if not held:
-            yield ("stall-stability",
-                   "address phase changed while HREADY low "
-                   "(HTRANS %d->%d, HADDR %#x->%#x)"
-                   % (prev.htrans, view.htrans, prev.haddr, view.haddr))
+    def hits(self, cur, prev, has_prev, grant):
+        changed = ((cur[TRANS] != prev[TRANS]) | (cur[ADDR] != prev[ADDR])
+                   | (cur[WRITE] != prev[WRITE])
+                   | (cur[SIZE] != prev[SIZE])
+                   | (cur[BURST] != prev[BURST]))
+        not_cancel = (cur[TRANS] != _IDLE) | (prev[RESP] == _RESP_OKAY)
+        return has_prev & (prev[READY] == 0) & not_cancel & changed
+
+    def message(self, cur, prev, grant):
+        return ("address phase changed while HREADY low "
+                "(HTRANS %d->%d, HADDR %#x->%#x)"
+                % (prev[TRANS], cur[TRANS], prev[ADDR], cur[ADDR]))
 
 
-class IdleResponseRule(Rule):
+class IdleResponseRule(RowPredicate):
     """An accepted IDLE transfer must receive a zero-wait OKAY response
     in its data phase (§3.9.1)."""
 
     emits = ("idle-okay",)
 
-    def check(self, prev, view):
-        if prev is None or not prev.hready:
-            return
-        if prev.htrans != _TRANS_IDLE:
-            return
-        if not view.hready or view.hresp != _RESP_OKAY:
-            yield ("idle-okay",
-                   "IDLE transfer answered HREADY=%d/%s instead of a "
-                   "zero-wait OKAY"
-                   % (view.hready, hresp_of(view.hresp).name))
+    def hits(self, cur, prev, has_prev, grant):
+        return (has_prev & (prev[READY] != 0) & (prev[TRANS] == _IDLE)
+                & ((cur[READY] == 0) | (cur[RESP] != _RESP_OKAY)))
+
+    def message(self, cur, prev, grant):
+        return ("IDLE transfer answered HREADY=%d/%s instead of a "
+                "zero-wait OKAY" % (cur[READY], hresp_of(cur[RESP]).name))
 
 
-class GrantHandoverRule(Rule):
+class GrantHandoverRule(RowPredicate):
     """HTRANS legality per grant state (§3.11.1): the first address
     phase a master presents after taking bus ownership must be IDLE or
     NONSEQ — a burst never continues across an ownership change."""
 
     emits = ("grant-handover",)
 
-    def check(self, prev, view):
-        if prev is None or not prev.hready:
-            return
-        if view.hmaster == prev.hmaster:
-            return
-        if view.htrans in _TRANS_CONTINUE:
-            yield ("grant-handover",
-                   "new owner M%d drove %s in its first address phase"
-                   % (view.hmaster, htrans_of(view.htrans).name))
+    def hits(self, cur, prev, has_prev, grant):
+        trans = cur[TRANS]
+        return (has_prev & (prev[READY] != 0)
+                & (cur[OWNER] != prev[OWNER])
+                & ((trans == _SEQ) | (trans == _BUSY)))
+
+    def message(self, cur, prev, grant):
+        return ("new owner M%d drove %s in its first address phase"
+                % (cur[OWNER], htrans_of(cur[TRANS]).name))
 
 
-class BurstSequenceRule(Rule):
+class BurstSequenceRule(RowStep):
     """Burst structure across accepted address phases (§3.5): NONSEQ
     opens a burst; SEQ beats carry the architected next address with
     unchanged control; BUSY only appears inside an open burst."""
@@ -360,39 +410,57 @@ class BurstSequenceRule(Rule):
         self._burst_addr = None
         self._burst_ctrl = None
 
-    def check(self, prev, view):
-        if prev is None or not prev.hready:
+    def holds_live(self):
+        """An open burst whose stored HBURST or HSIZE its next SEQ
+        beat raises on (left by a diverted row or a checkpoint)."""
+        ctrl = self._burst_ctrl
+        return self._in_burst and not (0 <= ctrl[2] <= 7 and ctrl[1] >= 0)
+
+    def visits(self, cur, prev, has_prev):
+        # Accepted rows; of a run of accepted IDLEs only the first can
+        # change the state (it closes the burst).
+        accepted = np.flatnonzero(has_prev & (prev[READY] != 0))
+        trans = cur[TRANS][accepted]
+        keep = trans != _IDLE
+        keep[1:] |= trans[:-1] != _IDLE
+        keep[:1] = True
+        visit = np.zeros(len(has_prev), dtype=bool)
+        visit[accepted[keep]] = True
+        return visit
+
+    def step(self, cur, prev, has_prev):
+        if not has_prev or not prev[READY]:
             return  # the previous address phase was not accepted
-        htrans = htrans_of(view.htrans)
-        if htrans == _NONSEQ:
+        kind = cur[TRANS]
+        if kind == _NONSEQ:
             self._in_burst = True
-            self._burst_addr = view.haddr
-            self._burst_ctrl = (view.hwrite, view.hsize, view.hburst,
-                                view.hmaster)
-        elif htrans == _SEQ:
+            self._burst_addr = cur[ADDR]
+            self._burst_ctrl = (cur[WRITE], cur[SIZE], cur[BURST],
+                                cur[OWNER])
+        elif kind == _SEQ:
             if not self._in_burst:
                 yield ("seq-without-nonseq",
                        "SEQ transfer with no open burst")
                 return
-            expected = next_burst_address(
-                self._burst_addr, hburst_of(self._burst_ctrl[2]),
-                self._burst_ctrl[1],
-            )
-            if view.haddr != expected:
+            ctrl = self._burst_ctrl
+            expected = next_burst_address(self._burst_addr, ctrl[2],
+                                          ctrl[1])
+            if cur[ADDR] != expected:
                 yield ("burst-address",
                        "SEQ address %#x, expected %#x"
-                       % (view.haddr, expected))
-            ctrl = (view.hwrite, view.hsize, view.hburst, view.hmaster)
-            if ctrl != self._burst_ctrl:
+                       % (cur[ADDR], expected))
+            beat = (cur[WRITE], cur[SIZE], cur[BURST], cur[OWNER])
+            if beat != ctrl:
                 yield ("burst-control",
                        "control changed mid-burst: %r -> %r"
-                       % (self._burst_ctrl, ctrl))
-            self._burst_addr = view.haddr
-        elif htrans == _BUSY:
+                       % (ctrl, beat))
+            self._burst_addr = cur[ADDR]
+        elif kind == _BUSY:
             if not self._in_burst:
                 yield ("busy-outside-burst",
                        "BUSY transfer with no open burst")
-        else:  # IDLE
+        else:
+            htrans_of(kind)  # a code with no HTRANS member raises here
             self._in_burst = False
 
     def state_dict(self):
@@ -410,7 +478,7 @@ class BurstSequenceRule(Rule):
         self._burst_ctrl = tuple(ctrl) if ctrl is not None else None
 
 
-class WaitLimitRule(Rule):
+class WaitLimitRule(RowStep):
     """Bounded wait-state runs (§3.9.1 recommends at most 16).
 
     Flags once per stall episode, when the run of consecutive
@@ -426,16 +494,19 @@ class WaitLimitRule(Rule):
     def reset(self):
         self._streak = 0
 
-    def check(self, prev, view):
-        if view.hready:
+    def visits(self, cur, prev, has_prev):
+        # Stalled rows, and the ready row that ends a streak.
+        return _and_next(cur[READY] == 0, self._streak != 0)
+
+    def step(self, cur, prev, has_prev):
+        if cur[READY]:
             self._streak = 0
             return
         self._streak += 1
         if self._streak == self.limit + 1:
             yield ("wait-limit",
                    "HREADY low for more than %d consecutive cycles "
-                   "(data-phase owner M%d)"
-                   % (self.limit, view.hmaster_d))
+                   "(data-phase owner M%d)" % (self.limit, cur[OWNER_D]))
 
     def state_dict(self):
         return {"streak": self._streak}
@@ -444,7 +515,7 @@ class WaitLimitRule(Rule):
         self._streak = state["streak"]
 
 
-class RetryLivelockRule(Rule):
+class RetryLivelockRule(RowStep):
     """Bounded consecutive RETRY completions per master (§3.9.3 makes
     unbounded retrying legal — which is exactly why a livelock needs a
     monitor).  Flags once per streak when it first exceeds *limit*.
@@ -459,12 +530,26 @@ class RetryLivelockRule(Rule):
     def reset(self):
         self._counts = {}
 
-    def check(self, prev, view):
-        if not view.hready or not view.dactive:
+    def visits(self, cur, prev, has_prev):
+        # Completions that can change a count: every RETRY, and per
+        # master its first completion of the block and each one after
+        # a RETRY (any other sets a count that is already 0).
+        done = (cur[READY] != 0) & (cur[DACTIVE] != 0)
+        retry = done & (cur[RESP] == _RESP_RETRY)
+        visit = retry.copy()
+        owners = cur[OWNER_D]
+        for owner in np.unique(owners[done]).tolist():
+            rows = np.flatnonzero(done & (owners == owner))
+            visit[rows[0]] = True
+            visit[rows[1:]] |= retry[rows[:-1]]
+        return visit
+
+    def step(self, cur, prev, has_prev):
+        if not cur[READY] or not cur[DACTIVE]:
             # No data phase completed this cycle; the streak holds.
             return
-        owner = view.hmaster_d
-        if view.hresp == _RESP_RETRY:
+        owner = cur[OWNER_D]
+        if cur[RESP] == _RESP_RETRY:
             count = self._counts.get(owner, 0) + 1
             self._counts[owner] = count
             if count == self.limit + 1:
@@ -483,7 +568,7 @@ class RetryLivelockRule(Rule):
                         in state["counts"].items()}
 
 
-class SplitReleaseRule(Rule):
+class SplitReleaseRule(RowStep):
     """A split-masked master must eventually be released (§3.12).
 
     Flags once per parked episode, when a master has sat in the
@@ -499,8 +584,12 @@ class SplitReleaseRule(Rule):
     def reset(self):
         self._ages = {}
 
-    def check(self, prev, view):
-        mask = view.split_mask
+    def visits(self, cur, prev, has_prev):
+        # Rows with a split-masked master, and the row releasing them.
+        return _and_next(cur[SPLIT] != 0, bool(self._ages))
+
+    def step(self, cur, prev, has_prev):
+        mask = cur[SPLIT]
         for index in list(self._ages):
             if not (mask >> index) & 1:
                 del self._ages[index]

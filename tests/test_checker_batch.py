@@ -27,8 +27,8 @@ import os
 
 import pytest
 
-from repro.compiled import rowbatch
-from repro.compiled.checker_batch import CheckerBatch
+from repro.kernel import rowbatch
+from repro.protocol.checker_batch import CheckerBatch
 from repro.kernel import FaultInjector, ProcessError, us
 from repro.protocol.rules import (
     BurstSequenceRule,

@@ -29,7 +29,7 @@ import pytest
 import repro
 from repro.amba.transactions import reset_txn_ids
 from repro.compiled import compile_simulator, compile_system
-from repro.compiled.monitor_batch import MonitorBatch
+from repro.power.monitor_batch import MonitorBatch
 from repro.kernel import Clock, Signal, ns, us
 from repro.faults.campaign import CONTAINED_OUTCOMES
 from repro.replay import FaultEntry, campaign_spec, execute
@@ -78,7 +78,7 @@ class TestPaperTestbenchIdentity:
         # identical state.
         digest, ledger, _ = _run_paper(compile_system)
 
-        from repro.compiled.monitor_batch import MonitorBatch
+        from repro.power.monitor_batch import MonitorBatch
 
         def _overflow(self, arr):
             raise OverflowError("forced: exercise the python replay")
@@ -94,7 +94,7 @@ class TestPaperTestbenchIdentity:
         # not depend on where the batch was cut.
         digest, ledger, _ = _run_paper(compile_system)
 
-        from repro.compiled import rowbatch
+        from repro.kernel import rowbatch
         monkeypatch.setattr(rowbatch, "_FLUSH_ROWS", 32)
         c_digest, c_ledger, engine = _run_paper(compile_system)
         assert _monitor_batch(engine.sim) is not None
@@ -126,7 +126,7 @@ class TestPaperTestbenchIdentity:
         # just slower.
         digest, ledger, _ = _run_paper()
 
-        from repro.compiled.rowbatch import RowBatch
+        from repro.kernel.rowbatch import RowBatch
         monkeypatch.setattr(RowBatch, "batchable",
                             classmethod(lambda cls, owner: False))
         c_digest, c_ledger, engine = _run_paper(compile_system)
@@ -165,7 +165,7 @@ class TestInterpretedBatchIdentity:
         live = self._paper(per_cycle=True)
         live.run(us(DURATION_US))
 
-        from repro.compiled import rowbatch
+        from repro.kernel import rowbatch
         monkeypatch.setattr(rowbatch, "_FLUSH_ROWS", cap)
         batched = self._paper(per_cycle=False)
         batched.run(us(DURATION_US))

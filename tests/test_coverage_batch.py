@@ -16,8 +16,8 @@ import weakref
 
 import pytest
 
-from repro.compiled.checker_batch import CheckerBatch
-from repro.compiled.monitor_batch import MonitorBatch
+from repro.protocol.checker_batch import CheckerBatch
+from repro.power.monitor_batch import MonitorBatch
 from repro.fuzz.coverage import (
     CoverageProbe,
     _BusCoverageBatch,

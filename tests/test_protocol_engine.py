@@ -13,7 +13,7 @@ from repro.amba import (
     MemorySlave,
 )
 from repro.compiled import compile_simulator
-from repro.compiled.checker_batch import CheckerBatch
+from repro.protocol.checker_batch import CheckerBatch
 from repro.faults import BabblingMaster
 from repro.kernel import (
     Clock,
