@@ -42,8 +42,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .ledger import BLOCK_ARB, BLOCK_DEC, BLOCK_M2S, BLOCK_S2M
 from .parameters import PAPER_TECHNOLOGY
 
@@ -218,8 +216,8 @@ class ArbiterEnergyModel:
             params.c_pd * self.handover_coeff
             + params.c_o * 2.0  # two one-hot grant outputs toggle
         )
-        if isinstance(handover, np.ndarray):
-            return np.where(handover, handed, total)
+        if getattr(handover, "ndim", 0):  # a block's flags pick per cycle
+            return handover.choose((total, handed))
         return handed if handover else total
 
     def __repr__(self):

@@ -48,8 +48,6 @@ objects instead and keeps the engine on its per-cycle path.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..amba.types import (
     HRESP,
     HTRANS,
@@ -314,8 +312,11 @@ class AlignmentRule(RowPredicate):
     emits = ("alignment",)
 
     def hits(self, cur, prev, has_prev, grant):
-        offset = cur[ADDR] & ((1 << cur[SIZE]) - 1)
-        return _active(cur[TRANS]) & (offset != 0)
+        active = _active(cur[TRANS])
+        # HSIZE is read only for an active transfer (a negative one
+        # raises there, as in ``aligned``).
+        offset = cur[ADDR] & ((1 << (cur[SIZE] * active)) - 1)
+        return active & (offset != 0)
 
     def message(self, cur, prev, grant):
         return ("address %#x unaligned for HSIZE=%d"
@@ -419,13 +420,10 @@ class BurstSequenceRule(RowStep):
     def visits(self, cur, prev, has_prev):
         # Accepted rows; of a run of accepted IDLEs only the first can
         # change the state (it closes the burst).
-        accepted = np.flatnonzero(has_prev & (prev[READY] != 0))
-        trans = cur[TRANS][accepted]
-        keep = trans != _IDLE
-        keep[1:] |= trans[:-1] != _IDLE
-        keep[:1] = True
-        visit = np.zeros(len(has_prev), dtype=bool)
-        visit[accepted[keep]] = True
+        visit = has_prev & (prev[READY] != 0)
+        accepted = visit.nonzero()[0]
+        idle = cur[TRANS][accepted] == _IDLE
+        visit[accepted[1:][idle[1:] & idle[:-1]]] = False
         return visit
 
     def step(self, cur, prev, has_prev):
@@ -538,8 +536,8 @@ class RetryLivelockRule(RowStep):
         retry = done & (cur[RESP] == _RESP_RETRY)
         visit = retry.copy()
         owners = cur[OWNER_D]
-        for owner in np.unique(owners[done]).tolist():
-            rows = np.flatnonzero(done & (owners == owner))
+        for owner in set(owners[done].tolist()):
+            rows = (done & (owners == owner)).nonzero()[0]
             visit[rows[0]] = True
             visit[rows[1:]] |= retry[rows[:-1]]
         return visit

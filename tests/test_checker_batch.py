@@ -22,16 +22,35 @@ Regenerate the pins (``PYTHONPATH=src python
 tests/test_checker_batch.py``) only for an intended change to a rule.
 """
 
+import copy
 import json
 import os
 
+import numpy as np
 import pytest
 
-from repro.kernel import rowbatch
+from repro.amba import AhbBus, AhbConfig
+from repro.amba.types import next_burst_address
+from repro.kernel import (
+    Clock,
+    FaultInjector,
+    MHz,
+    ProcessError,
+    Simulator,
+    rowbatch,
+    us,
+)
+from repro.protocol import ComplianceEngine, advisory_rules, mandatory_rules
 from repro.protocol.checker_batch import CheckerBatch
-from repro.kernel import FaultInjector, ProcessError, us
 from repro.protocol.rules import (
+    ADDR,
+    BURST,
+    OWNER,
+    SIZE,
+    TRANS,
+    WRITE,
     BurstSequenceRule,
+    RowStep,
     SplitReleaseRule,
     WaitLimitRule,
 )
@@ -271,6 +290,159 @@ class TestDivertAndEligibility:
         system, _ = observe("alignment", "compiled")
         assert _checker_batch(system).rows_replayed > 0
 
+
+
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+def _engine():
+    """A compliance engine on a 3-master, 2-slave bus that is never
+    simulated, with advisory limits low enough to trip on short
+    inputs.  Returns it and its record/replay batch."""
+    sim = Simulator()
+    clk = Clock.from_frequency(sim, "clk", MHz(100))
+    config = AhbConfig.with_uniform_map(n_masters=3, n_slaves=2,
+                                        region_size=0x1000,
+                                        default_master=2)
+    bus = AhbBus(sim, "ahb", clk, config)
+    engine = ComplianceEngine(sim, "chk", bus, rules=mandatory_rules()
+                              + advisory_rules(wait_limit=2,
+                                               retry_limit=1,
+                                               split_limit=3))
+    (batch,) = [batch for batch in sim.batches
+                if isinstance(batch, CheckerBatch)]
+    return engine, batch
+
+
+@st.composite
+def recorded_rows(draw):
+    """Rows as the recorder appends them, every code inside its guard
+    ranges: bursts that continue legally or break, stalls that hold or
+    change the address phase, and one-hot vectors that sometimes are
+    not."""
+    def bit(p_one=0.5):
+        return int(draw(st.floats(0, 1)) < p_one)
+
+    def vector(width):
+        if draw(st.integers(0, 4)):
+            hot = draw(st.integers(0, width - 1))
+            return tuple(int(index == hot) for index in range(width))
+        return tuple(draw(st.lists(st.integers(0, 1), min_size=width,
+                                   max_size=width)))
+
+    rows = []
+    for index in range(draw(st.integers(1, 48))):
+        last = rows[-1] if rows else None
+        how = draw(st.sampled_from(("seq", "hold", "fresh", "fresh")))
+        if last is not None and how == "seq" and last[TRANS] >= 2:
+            trans = draw(st.sampled_from((3, 3, 1)))
+            addr = next_burst_address(last[ADDR], last[BURST],
+                                      last[SIZE]) \
+                if draw(st.integers(0, 3)) else draw(st.integers(0, 255))
+            control = (last[WRITE], last[SIZE], last[BURST]) \
+                if draw(st.integers(0, 3)) else (
+                    bit(), draw(st.integers(0, 2)),
+                    draw(st.integers(0, 7)))
+            owner = last[OWNER]
+        elif last is not None and how == "hold":
+            trans, addr = last[TRANS], last[ADDR]
+            control = (last[WRITE], last[SIZE], last[BURST])
+            owner = last[OWNER]
+        else:
+            trans = draw(st.integers(0, 3))
+            addr = draw(st.integers(0, 255)) * 4 \
+                + draw(st.sampled_from((0, 0, 0, 1, 2)))
+            control = (bit(), draw(st.integers(0, 2)),
+                       draw(st.integers(0, 7)))
+            owner = draw(st.integers(0, 2))
+        write, size, burst = control
+        rows.append(
+            (trans, addr, write, size, burst, bit(0.7),
+             draw(st.sampled_from((0, 0, 0, 1, 2, 3))), owner,
+             draw(st.integers(0, 2)),
+             draw(st.sampled_from((0, 0, 0, 1, 2, 5))), bit(0.7))
+            + vector(3) + vector(3) + (10_000 * index,))
+    return rows
+
+
+def _cut(rows, sizes):
+    """*rows* as consecutive blocks of the given sizes (the last one
+    takes the rest)."""
+    blocks, start = [], 0
+    for size in sizes:
+        if start >= len(rows):
+            break
+        blocks.append(rows[start:start + size])
+        start += size
+    if start < len(rows):
+        blocks.append(rows[start:])
+    return blocks
+
+
+class TestDriverEqualsRowByRowProperty:
+    """The batch driver over arbitrary blocks ≡ ``_check`` row by row,
+    with no simulator: every row a stateful rule's visit mask drops
+    must leave that rule's state unchanged and emit nothing."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(rows=recorded_rows(),
+           sizes=st.lists(st.integers(1, 12), max_size=8))
+    def test_blocks_match_rows(self, rows, sizes):
+        reference, _ = _engine()
+        engine, batch = _engine()
+        for block in _cut(rows, sizes):
+            self._visits_drop_nothing(reference, block)
+            for row in block:
+                reference._check(row)
+            batch._rows.extend(block)
+            batch.flush()
+            assert engine.state_dict() == reference.state_dict()
+            assert engine._prev == reference._prev
+        assert batch.rows_replayed == len(rows)
+
+    def test_first_cycle_has_no_previous_row(self):
+        # An unaligned SEQ answered by a one-cycle ERROR: of the rules
+        # that compare with the previous cycle, only the two-cycle
+        # response fires when there is none.
+        row = ((3, 0x11, 0, 2, 1, 1, 1, 1, 0, 0, 1)
+               + (1, 0, 0) + (0, 1, 0) + (0,))
+        reference, _ = _engine()
+        reference._check(row)
+        engine, batch = _engine()
+        batch._rows.append(row)
+        batch.flush()
+        for checked in (reference, engine):
+            assert [v.rule for v in checked.violations] == \
+                ["alignment", "two-cycle-response"]
+        assert engine.state_dict() == reference.state_dict()
+
+    @staticmethod
+    def _visits_drop_nothing(reference, block):
+        """Step a copy of each stateful rule over *block* from the
+        reference's state; rows outside its visit mask are no-ops."""
+        prev = reference._prev
+        first = block[0] if prev is None else prev
+        arr = np.array([first] + block, dtype=np.int64).T
+        has_prev = np.ones(len(block), dtype=bool)
+        has_prev[0] = prev is not None
+        for rule in reference.rules:
+            if not isinstance(rule, RowStep):
+                continue
+            rule = copy.deepcopy(rule)
+            visits = rule.visits(arr[:, 1:], arr[:, :-1], has_prev)
+            for index, row in enumerate(block):
+                before = rule.state_dict()
+                found = list(rule.step(row, block[index - 1] if index
+                                       else first,
+                                       bool(index) or prev is not None))
+                if not visits[index]:
+                    assert found == [], (type(rule).__name__, index)
+                    assert rule.state_dict() == before, \
+                        (type(rule).__name__, index)
 
 if __name__ == "__main__":
     pins = {rule_id: _json(observe(rule_id)[1]["violations"])

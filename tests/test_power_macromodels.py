@@ -1,6 +1,9 @@
 """Macromodel unit tests: formulas, monotonicity, validation."""
 
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -129,6 +132,57 @@ class TestArbiterModel:
             ArbiterEnergyModel(0, PARAMS)
         with pytest.raises(ValueError):
             ArbiterEnergyModel(3, PARAMS).energy(-2, False)
+
+
+def _same(a, b):
+    """Bit-equal floats, NaN equal to NaN."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+#: Non-negative coefficients, including the ones products go NaN on.
+COEFFS = st.sampled_from((0.0, 1e-300, 0.5, 2.0, 7.25, math.inf))
+HDS = np.array([0, 1, 2, 0, 5, 1])
+FLAGS = np.array([False, True, False, True, True, False])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestArrayEvaluation:
+    """``evaluate`` on arrays (the batched monitor's block) equals the
+    scalar ``energy`` bit for bit, for every non-negative coefficient
+    (``inf * 0`` is NaN on both)."""
+
+    @given(request=COEFFS, handover=COEFFS)
+    def test_arbiter_adds_handover_term_only_on_handover(self, request,
+                                                         handover):
+        model = ArbiterEnergyModel(3, PARAMS, request_coeff=request,
+                                   handover_coeff=handover)
+        block = model.evaluate(HDS, FLAGS).tolist()
+        for hd, flag, energy in zip(HDS.tolist(), FLAGS.tolist(), block):
+            # The branch as written before the array form: a
+            # multiply-by-flag would give NaN for inf * False.
+            expected = model.idle_energy()
+            expected += PARAMS.half_cv2 * PARAMS.c_pd * request * hd
+            if flag:
+                expected += PARAMS.half_cv2 * (
+                    PARAMS.c_pd * handover + PARAMS.c_o * 2.0)
+            assert _same(energy, expected)
+            assert _same(model.energy(hd, flag), expected)
+
+    @given(path=COEFFS, select=COEFFS, output=COEFFS)
+    def test_mux(self, path, select, output):
+        model = MuxEnergyModel(4, 32, PARAMS, path_coeff=path,
+                               select_coeff=select, output_coeff=output)
+        block = model.evaluate(HDS, FLAGS).tolist()
+        for hd, flag, energy in zip(HDS.tolist(), FLAGS.tolist(), block):
+            assert _same(energy, model.energy(hd, 1 if flag else 0, hd))
+
+    @given(inputs=COEFFS, output=COEFFS)
+    def test_decoder(self, inputs, output):
+        model = DecoderEnergyModel(4, PARAMS, input_coeff=inputs,
+                                   output_coeff=output)
+        block = model.evaluate(HDS).tolist()
+        for hd, energy in zip(HDS.tolist(), block):
+            assert _same(energy, model.energy(hd))
 
 
 class TestRegisterModel:
