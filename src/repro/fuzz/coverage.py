@@ -46,9 +46,11 @@ from __future__ import annotations
 import json
 from itertools import chain
 
+import numpy as _np
+
 from ..amba.types import HBURST, HRESP, HTRANS, is_active
-from ..kernel.rowbatch import RowBatch, _np
 from ..kernel import Module
+from ..kernel.rowbatch import RowBatch
 from ..power.instructions import MODES
 
 #: Coverage-map file format marker.

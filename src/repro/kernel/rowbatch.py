@@ -37,8 +37,6 @@ row cap.
 
 from __future__ import annotations
 
-import numpy as _np
-
 from .simulator import BATCH_KINDS
 
 #: Recorder rows buffered before an automatic flush.  Bounds batch

@@ -40,7 +40,9 @@ Bit-identity with the scalar step is the contract, not an aspiration:
 
 from __future__ import annotations
 
-from ..kernel.rowbatch import RowBatch, _np
+import numpy as _np
+
+from ..kernel.rowbatch import RowBatch
 from .instructions import MODES, instruction_name
 from .ledger import InstructionStats
 from .macromodels import block_energies

@@ -26,8 +26,10 @@ from __future__ import annotations
 
 from itertools import chain as _chain
 
+import numpy as _np
+
 from ..amba.checker import AhbProtocolChecker
-from ..kernel.rowbatch import RowBatch, _np
+from ..kernel.rowbatch import RowBatch
 from .engine import ComplianceEngine
 from .rules import BURST, RESP, SIZE, TRANS, RowPredicate, RowRule
 
@@ -96,13 +98,13 @@ class CheckerBatch(RowBatch):
                 events += [(row, rule_id, rule.message(
                     rows[row], rows[row - 1] if row else first, grant))
                     for row in _np.flatnonzero(hits).tolist()]
-                continue
-            visits = rule.visits(cur, prev, has_prev)
-            for row in _np.flatnonzero(visits).tolist():
-                for rule_id, message in rule.step(
-                        rows[row], rows[row - 1] if row else first,
-                        row > 0 or has):
-                    events.append((row, rule_id, message))
+            else:
+                visits = rule.visits(cur, prev, has_prev)
+                for row in _np.flatnonzero(visits).tolist():
+                    for rule_id, message in rule.step(
+                            rows[row], rows[row - 1] if row else first,
+                            row > 0 or has):
+                        events.append((row, rule_id, message))
         # A stable sort by row keeps rule order, then emission order.
         events.sort(key=lambda event: event[0])
         base = engine.cycles_checked
