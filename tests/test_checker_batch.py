@@ -444,6 +444,7 @@ class TestDriverEqualsRowByRowProperty:
                     assert rule.state_dict() == before, \
                         (type(rule).__name__, index)
 
+
 if __name__ == "__main__":
     pins = {rule_id: _json(observe(rule_id)[1]["violations"])
             for rule_id in PINNED}
