@@ -32,29 +32,37 @@ wide accumulation the engine steers by.
 Neither hook runs per cycle on a run that batches
 (:mod:`repro.kernel.rowbatch`, either engine): the bus monitor is a
 record/replay consumer of its own, and the power hook receives the
-mode codes of every block the batched power monitor replays.  So the
-``bus:``, ``burst:``, ``resp:`` and ``power:`` keys come from replayed
-blocks.  Cycles diverted to a live method, runs with a kernel observer
-and power FSMs with a per-cycle sink (or a telemetry tracer the power
-hook chains to) add the same keys cycle by cycle.  Every run ends with
-a flush, so the probe's checkpointed state is current between
-``run`` calls.
+mode codes of every block the batched power monitor replays.  Each
+key family is built in one place, over a sequence of cycles: a block,
+or the one cycle of a live method (diverted cycles, runs with a kernel
+observer, power FSMs with a per-cycle sink or a chained telemetry
+tracer).  Every run ends with a flush, so the probe's checkpointed
+state is current between ``run`` calls.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, compress
 
-import numpy as _np
-
-from ..amba.types import HBURST, HRESP, HTRANS, is_active
+from ..amba.types import HRESP, HTRANS, hburst_of, hresp_of, htrans_of
 from ..kernel import Module
 from ..kernel.rowbatch import RowBatch
-from ..power.instructions import MODES
+from ..power.instructions import MODES, BusMode
 
 #: Coverage-map file format marker.
 FORMAT = "repro-fuzz-coverage/1"
+
+_ACTIVE = frozenset((int(HTRANS.NONSEQ), int(HTRANS.SEQ)))
+_OKAY = frozenset((int(HRESP.OKAY),))
+
+
+def _changes(first, codes):
+    """The distinct pairs of consecutive unequal codes in *codes*, led
+    by *first*."""
+    return [(before, after)
+            for before, after in set(zip(chain((first,), codes), codes))
+            if before != after]
 
 
 class _BusCoverageMonitor(Module):
@@ -77,25 +85,34 @@ class _BusCoverageMonitor(Module):
     def _observe(self, htrans, hburst, hresp):
         """One cycle's keys from its committed HTRANS, HBURST and
         HRESP codes."""
-        if self._prev_htrans is not None \
-                and htrans != self._prev_htrans:
-            self.keys.add("bus:%s->%s" % (HTRANS(self._prev_htrans).name,
-                                          HTRANS(htrans).name))
-        self._prev_htrans = htrans
-        if is_active(htrans):
-            self.keys.add("burst:%s" % HBURST(hburst).name)
-        if hresp != int(HRESP.OKAY):
-            self.keys.add("resp:%s" % HRESP(hresp).name)
+        self._add((htrans,), (hburst,), (hresp,))
+
+    def _add(self, htrans, hburst, hresp):
+        """The keys of consecutive cycles' HTRANS, HBURST and HRESP
+        code sequences.  A code with no enum member raises as its
+        constructor does, when a key needs its name."""
+        keys = self.keys
+        prev = htrans[0] if self._prev_htrans is None \
+            else self._prev_htrans
+        for before, after in _changes(prev, htrans):
+            keys.add("bus:%s->%s" % (htrans_of(before).name,
+                                     htrans_of(after).name))
+        self._prev_htrans = htrans[-1]
+        for code in set(compress(hburst, map(_ACTIVE.__contains__,
+                                             htrans))):
+            keys.add("burst:%s" % hburst_of(code).name)
+        for code in set(hresp) - _OKAY:
+            keys.add("resp:%s" % hresp_of(code).name)
 
 
 class _BusCoverageBatch(RowBatch):
     """Recorder + block replay for one :class:`_BusCoverageMonitor`.
 
-    A row holds HTRANS, HBURST and HRESP.  A code the enum
-    constructors of :meth:`_BusCoverageMonitor._observe` raise on runs
-    the live method, and so does every cycle while the stored HTRANS
-    is such a code (a diverted cycle or a restored snapshot left it):
-    its next change raises there.
+    A row holds HTRANS, HBURST and HRESP.  A code the enum lookups of
+    :meth:`_BusCoverageMonitor._add` raise on runs the live method, and
+    so does every cycle while the stored HTRANS is such a code (a
+    diverted cycle or a restored snapshot left it): its next change
+    raises there.
     """
 
     live_function = _BusCoverageMonitor._on_clk
@@ -115,28 +132,10 @@ class _BusCoverageBatch(RowBatch):
         prev = self.owner._prev_htrans
         return prev is not None and not 0 <= prev <= 3
 
-    def _replay(self, row):
-        self.owner._observe(*row)
-
     def _flush_np(self, rows):
-        monitor = self.owner
-        keys = monitor.keys
-        htrans, hburst, hresp = _np.array(rows, dtype=_np.int64).T
-        prev = _np.empty_like(htrans)
-        prev[0] = htrans[0] if monitor._prev_htrans is None \
-            else monitor._prev_htrans
-        prev[1:] = htrans[:-1]
-        changed = prev != htrans
-        for pair in _np.unique(prev[changed] * 4
-                               + htrans[changed]).tolist():
-            keys.add("bus:%s->%s" % (HTRANS(pair >> 2).name,
-                                     HTRANS(pair & 3).name))
-        for code in _np.unique(hburst[htrans >= int(HTRANS.NONSEQ)]) \
-                .tolist():
-            keys.add("burst:%s" % HBURST(code).name)
-        for code in _np.unique(hresp[hresp != int(HRESP.OKAY)]).tolist():
-            keys.add("resp:%s" % HRESP(code).name)
-        monitor._prev_htrans = int(htrans[-1])
+        # Python ints throughout, so no value overflows and the block
+        # needs no row-by-row ``_replay``.
+        self.owner._add(*zip(*rows))
 
 
 class _PowerCoverage:
@@ -158,9 +157,7 @@ class _PowerCoverage:
 
     def on_step(self, time_ps, mode, instruction, block_energies,
                 total, response):
-        if self._prev is not None and mode is not self._prev:
-            self.keys.add("power:%s->%s" % (self._prev.name, mode.name))
-        self._prev = mode
+        self._add((MODES.index(mode),))
         if self.chained is not None:
             self.chained.on_step(time_ps, mode, instruction,
                                  block_energies, total, response)
@@ -168,12 +165,14 @@ class _PowerCoverage:
     def on_modes(self, codes):
         """The pairs of a replayed block: *codes* are its per-cycle
         modes as indices into :data:`~repro.power.instructions.MODES`."""
+        self._add(codes)
+
+    def _add(self, codes):
         first = codes[0] if self._prev is None \
             else MODES.index(self._prev)
-        for before, after in set(zip(chain((first,), codes), codes)):
-            if before != after:
-                self.keys.add("power:%s->%s" % (MODES[before].name,
-                                                MODES[after].name))
+        for before, after in _changes(first, codes):
+            self.keys.add("power:%s->%s" % (MODES[before].name,
+                                            MODES[after].name))
         self._prev = MODES[codes[-1]]
 
 
@@ -229,7 +228,6 @@ class CoverageProbe:
         }
 
     def load_state_dict(self, state):
-        from ..power.instructions import BusMode
         self.keys.clear()
         self.keys.update(state["keys"])
         if self._monitor is not None:

@@ -51,8 +51,9 @@ class RowBatch:
     *process*.
 
     A subclass sets ``live_function`` and defines ``eligible()`` (does
-    this run record?), ``_flush_np(rows)`` (the NumPy block kernel) and
-    ``_replay(row)`` (the scalar reference for one row).
+    this run record?), ``_flush_np(rows)`` (the block kernel) and, if
+    that kernel uses NumPy, ``_replay(row)`` (the scalar reference for
+    one row).
     ``rows_replayed`` counts the recorded rows a flush handed to the
     consumer, ``live_diverts`` the cycles the recorder ran live.
     """

@@ -92,8 +92,12 @@ class VcdFile:
 
         The power replay reads each cycle's settled values immediately
         before the edge that ends it, mirroring what a clocked monitor
-        observes at that edge.
+        observes at that edge.  A *period_ps* that is not positive
+        raises ``ValueError``.
         """
+        if period_ps <= 0:
+            raise ValueError("clock period must be positive, got %r ps"
+                             % (period_ps,))
         if t_end is None:
             t_end = self.end_time
         times = []

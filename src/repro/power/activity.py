@@ -11,7 +11,9 @@ accumulates switching statistics.
 
 from __future__ import annotations
 
-from .hamming import hamming
+from operator import add
+
+from .hamming import ROW, switching
 
 
 class ActivitySample:
@@ -53,14 +55,16 @@ class Activity:
     def __init__(self, name, signals):
         self.name = name
         self.signals = tuple(signals)
+        self._index = {signal: index
+                       for index, signal in enumerate(self.signals)}
         self._masks = tuple((1 << signal.width) - 1
                             for signal in self.signals)
-        self._stored = {signal: signal.value for signal in self.signals}
+        #: Per-signal stored values and accumulators, in signal order.
+        self._stored = [signal.value for signal in self.signals]
+        self._transitions = [0] * len(self.signals)
+        self._ones = [0] * len(self.signals)
         self._bit_changes = 0
-        self._transitions_per_signal = {signal: 0
-                                        for signal in self.signals}
         self.samples_taken = 0
-        self._ones_accumulator = {signal: 0 for signal in self.signals}
 
     # -- the paper's interface -------------------------------------------
 
@@ -75,9 +79,8 @@ class Activity:
         implicitly by :meth:`sample`; exposed separately to match the
         paper's two-method interface, e.g. to re-baseline after reset.
         """
-        for signal in self.signals:
-            self._stored[signal] = signal.value
-        return dict(self._stored)
+        self._stored = [signal.value for signal in self.signals]
+        return dict(zip(self.signals, self._stored))
 
     # -- sampling ------------------------------------------------------------
 
@@ -92,33 +95,21 @@ class Activity:
         """Fold one sample of *values* (one per signal, in
         :attr:`signals` order) into the statistics and store them as
         the new reference.  Returns the per-signal Hamming distances."""
-        stored = self._stored
-        transitions = self._transitions_per_signal
-        ones = self._ones_accumulator
-        distances = []
-        for signal, mask, new in zip(self.signals, self._masks, values):
-            old = stored[signal]
-            if new == old:
-                distance = 0
-            else:
-                distance = hamming(old, new, width=signal.width)
-                transitions[signal] += distance
-            distances.append(distance)
-            stored[signal] = new
-            ones[signal] += bin(new & mask).count("1")
-        self._bit_changes += sum(distances)
-        self.samples_taken += 1
+        values = list(values)
+        _, distances, ones = switching(ROW, values, self._stored,
+                                       self._masks)
+        self.record_batch(values, distances, ones, 1)
         return distances
 
     def record_batch(self, lasts, transitions, ones, count):
         """Fold *count* samples summarised per signal: the last value,
-        the summed Hamming distances and the summed ones counts (the
-        compiled engine's batched monitor replay)."""
-        for signal, last, hd, n_ones in zip(self.signals, lasts,
-                                            transitions, ones):
-            self._stored[signal] = last
-            self._transitions_per_signal[signal] += hd
-            self._ones_accumulator[signal] += n_ones
+        the summed Hamming distances and the summed ones counts, as
+        :func:`repro.power.hamming.switching` computes them on one sample
+        or on a block of them (the global monitor's step and its
+        batched replay)."""
+        self._stored = list(lasts)
+        self._transitions = list(map(add, self._transitions, transitions))
+        self._ones = list(map(add, self._ones, ones))
         self._bit_changes += sum(transitions)
         self.samples_taken += count
 
@@ -126,27 +117,27 @@ class Activity:
 
     def transition_count(self, signal):
         """Cumulative bit transitions seen on *signal*."""
-        return self._transitions_per_signal[signal]
+        return self._transitions[self._index[signal]]
 
     def transition_density(self, signal):
         """Average fraction of *signal*'s bits toggling per sample."""
         if not self.samples_taken or signal.width == 0:
             return 0.0
-        return (self._transitions_per_signal[signal]
+        return (self.transition_count(signal)
                 / (self.samples_taken * signal.width))
 
     def signal_probability(self, signal):
         """Average fraction of *signal*'s bits at 1 across samples."""
         if not self.samples_taken or signal.width == 0:
             return 0.0
-        return (self._ones_accumulator[signal]
+        return (self._ones[self._index[signal]]
                 / (self.samples_taken * signal.width))
 
     def summary(self):
         """Per-signal statistics dict for reports."""
         return {
             signal.name: {
-                "transitions": self._transitions_per_signal[signal],
+                "transitions": self.transition_count(signal),
                 "density": self.transition_density(signal),
                 "probability": self.signal_probability(signal),
             }
@@ -156,39 +147,27 @@ class Activity:
     # -- checkpoint support ---------------------------------------------
 
     def state_dict(self):
-        """Per-signal accumulators keyed by signal *name* (the dicts
-        themselves are keyed by Signal objects, which do not survive
-        serialization)."""
+        """Per-signal accumulators keyed by signal *name* (signals
+        themselves do not survive serialization)."""
+        names = [signal.name for signal in self.signals]
         return {
-            "stored": {signal.name: self._stored[signal]
-                       for signal in self.signals},
+            "stored": dict(zip(names, self._stored)),
             "bit_changes": self._bit_changes,
-            "transitions": {
-                signal.name: self._transitions_per_signal[signal]
-                for signal in self.signals
-            },
-            "ones": {signal.name: self._ones_accumulator[signal]
-                     for signal in self.signals},
+            "transitions": dict(zip(names, self._transitions)),
+            "ones": dict(zip(names, self._ones)),
             "samples_taken": self.samples_taken,
         }
 
     def load_state_dict(self, state):
-        by_name = {signal.name: signal for signal in self.signals}
-        if set(by_name) != set(state["stored"]):
+        names = [signal.name for signal in self.signals]
+        if set(names) != set(state["stored"]):
             raise ValueError(
                 "activity group %r signal set changed since checkpoint"
                 % self.name)
-        self._stored = {by_name[name]: value
-                        for name, value in state["stored"].items()}
+        self._stored = [state["stored"][name] for name in names]
         self._bit_changes = state["bit_changes"]
-        self._transitions_per_signal = {
-            by_name[name]: count
-            for name, count in state["transitions"].items()
-        }
-        self._ones_accumulator = {
-            by_name[name]: count
-            for name, count in state["ones"].items()
-        }
+        self._transitions = [state["transitions"][name] for name in names]
+        self._ones = [state["ones"][name] for name in names]
         self.samples_taken = state["samples_taken"]
 
     def __repr__(self):

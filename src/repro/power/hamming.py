@@ -7,6 +7,9 @@ data" — these are the corresponding primitives.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from operator import and_, xor
+
 
 def hamming(a, b, width=None):
     """Hamming distance between two non-negative integers.
@@ -22,6 +25,41 @@ def hamming(a, b, width=None):
         a &= mask
         b &= mask
     return bin(a ^ b).count("1")
+
+
+#: What the bus-cycle arithmetic cannot write once for one cycle and
+#: for a block of cycles: ``popcount`` of a non-negative value,
+#: ``totals`` (each value's sum over the cycles, as Python ints) and
+#: ``last`` (the last cycle's values).
+Primitives = namedtuple("Primitives", "popcount totals last")
+
+#: On one cycle: a row of Python ints and bools (a bool total adds to
+#: an int counter as 0 or 1).
+ROW = Primitives(int.bit_count, list, lambda row: row)
+
+
+def block_primitives(np):
+    """On a block of cycles: the int64 and bool columns of NumPy *np*
+    (passed in, so this module does not import NumPy)."""
+    return Primitives(
+        lambda column: np.bitwise_count(column).astype(np.int64),
+        lambda columns: [int(np.add.reduce(column)) for column in columns],
+        lambda columns: columns[:, -1].tolist())
+
+
+def switching(ops, cur, prev, masks):
+    """The paper's ``Activity`` terms of a signal group's values *cur*
+    after *prev* (one per signal, each masked to its signal's width),
+    on one cycle or on a block with the primitives *ops*:
+    ``(total, distances, ones)`` — the group's Hamming distance per
+    cycle, and each signal's distance and ones count totalled over the
+    cycles."""
+    popcount = ops.popcount
+    # popcount((old ^ new) & mask) and popcount(new & mask) per signal,
+    # mapped so a row runs in C and a block's columns stream one by one
+    distances = list(map(popcount, map(and_, map(xor, prev, cur), masks)))
+    return (sum(distances), ops.totals(distances),
+            ops.totals(map(popcount, map(and_, cur, masks))))
 
 
 def hamming_sequence(values, width=None):

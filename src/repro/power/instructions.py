@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from ..amba.types import is_active_code
+from ..amba.types import HTRANS, htrans_of
 
 
 class BusMode(Enum):
@@ -31,6 +31,23 @@ class BusMode(Enum):
 #: hands a power-FSM tracer's ``on_modes`` hook its block's per-cycle
 #: modes as codes indexing this tuple.
 MODES = tuple(BusMode)
+IDLE_CODE, IDLE_HO_CODE, READ_CODE, WRITE_CODE = range(len(MODES))
+
+_NONSEQ = int(HTRANS.NONSEQ)
+_SEQ = int(HTRANS.SEQ)
+
+
+def mode_code(htrans, hwrite, handover):
+    """:func:`classify_mode` as an index into :data:`MODES`, unchecked.
+
+    Written with comparisons joined by ``&`` and ``|``, so it means the
+    same on one cycle's Python ints and bools and on a block's int64
+    and bool columns.  An HTRANS code with no member counts as idle;
+    a write is the code after a read.
+    """
+    transfer = (htrans == _NONSEQ) | (htrans == _SEQ)
+    return (READ_CODE * transfer + (transfer & (hwrite != 0))
+            + IDLE_HO_CODE * ((transfer == 0) & handover))
 
 
 def classify_mode(htrans, hwrite, handover):
@@ -47,11 +64,11 @@ def classify_mode(htrans, hwrite, handover):
         changed at the cycle boundary or a grant change is pending.
 
     BUSY cycles burn no data-path energy beyond idle and are folded
-    into IDLE, matching the coarse four-mode decomposition.
+    into IDLE, matching the coarse four-mode decomposition.  An HTRANS
+    code with no member raises as ``HTRANS(code)`` does.
     """
-    if is_active_code(htrans):
-        return BusMode.WRITE if hwrite else BusMode.READ
-    return BusMode.IDLE_HO if handover else BusMode.IDLE
+    htrans_of(htrans)
+    return MODES[mode_code(htrans, hwrite, bool(handover))]
 
 
 def instruction_name(previous, current):

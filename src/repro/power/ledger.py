@@ -68,28 +68,7 @@ class EnergyLedger:
         *response* optionally tags the cycle with the bus response kind
         shown during it (fault/overhead accounting).
         """
-        cycle_total = 0.0
-        for block, energy in block_energies.items():
-            if energy < 0:
-                raise ValueError(
-                    "negative energy %r for block %r" % (energy, block)
-                )
-            self.block_energy[block] = (
-                self.block_energy.get(block, 0.0) + energy
-            )
-            cycle_total += energy
-        stats = self.instructions.get(instruction)
-        if stats is None:
-            stats = self.instructions[instruction] = InstructionStats()
-        stats.count += 1
-        stats.energy += cycle_total
-        if response is not None:
-            self.response_energy[response] = (
-                self.response_energy.get(response, 0.0) + cycle_total
-            )
-        self.total_energy += cycle_total
-        self.cycles += 1
-        return cycle_total
+        return self.charge_bulk(instruction, 1, block_energies, response)
 
     def charge_bulk(self, instruction, count, block_energies,
                     response=None):
@@ -98,7 +77,8 @@ class EnergyLedger:
         Equivalent to calling :meth:`charge_cycle` *count* times with
         the same arguments, but O(blocks) instead of O(count) — the
         transaction-level tier charges whole mode runs through this
-        path.  Returns the total energy charged (joules).
+        path, and :meth:`charge_cycle` is one such run.  Returns the
+        total energy charged (joules).
         """
         if count < 0:
             raise ValueError("negative cycle count %r" % count)

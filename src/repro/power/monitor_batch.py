@@ -1,69 +1,51 @@
-"""Batched replay of the :class:`GlobalPowerMonitor` hot path.
+"""Batched replay of the :class:`GlobalPowerMonitor`.
 
-The monitor's per-cycle step (activity sampling, four macromodel
-evaluations, FSM step, ledger charge) dominates interpreted runtime.
-On both engines the monitor is one consumer of the shared
-record/replay protocol (:mod:`repro.kernel.rowbatch`): its recorder
-appends the committed values in the monitor's own
-:attr:`~GlobalPowerMonitor.columns` layout, and a cycle with an HTRANS
-or HRESP code outside 0..3 or a bus owner outside ``-n..n-1`` runs the
-live monitor instead, so the error and the torn state it leaves are
-byte-identical.  This module keeps only what is the monitor's own:
-those columns and guards, the static and per-run eligibility checks
-and the NumPy replay.
+On both engines the monitor is one consumer of the record/replay
+protocol (:mod:`repro.kernel.rowbatch`): its recorder appends the
+committed values in the monitor's :attr:`~GlobalPowerMonitor.columns`
+layout, and a flush runs the monitor's own definitions on the block's
+int64 columns: the integer terms of
+:class:`~repro.power.monitors.BusCycle`, applied by
+:meth:`GlobalPowerMonitor._fold`, and the macromodels' energy
+expressions.  This module keeps the rest: the range guards (an HTRANS
+or HRESP code outside 0..3 or an owner outside ``-n..n-1`` runs the
+live monitor, so the error and the torn state are the per-cycle ones),
+the eligibility checks, the in-order float tail and the tracer
+hand-off.
 
 A run batches unless a power-FSM sink needs per-cycle time stamps:
-``traces``, ``datafile`` and ``instruction_log`` keep the live monitor,
-and so does a ``tracer`` without the block hook ``on_modes(codes)``.
-A tracer with it (the fuzz coverage probe's) is called once per
-replayed block with the block's per-cycle mode codes (indices into
-:data:`repro.power.instructions.MODES`), after the ledger is charged;
-cycles that run live, or replay through the scalar step, reach its
-``on_step`` as before.
+``traces``, ``datafile``, ``instruction_log``, or a ``tracer`` without
+the block hook ``on_modes(codes)``.  That hook receives each replayed
+block's mode codes (indices into :data:`repro.power.instructions.MODES`)
+after the ledger is charged; cycles that run live, or replay through
+the scalar step, reach the tracer's ``on_step``.
 
-:meth:`GlobalPowerMonitor._step` is the scalar reference for a cycle:
-the live monitor runs it on every clock edge, and the replay falls back
-to it row by row when a value is beyond int64.  Both charge
-:func:`repro.power.macromodels.block_energies`, which evaluates each
-macromodel's one expression on numbers or, here, on a block's arrays.
-Bit-identity with the scalar step is the contract, not an aspiration:
-
-* integer work (Hamming distances via ``np.bitwise_count``, ones
-  counts, mode classification) is vectorized — integers are exact;
-* the energy expressions run elementwise on float64 arrays, which
-  round as CPython floats do;
-* sequential float accumulators (ledger totals, per-instruction and
-  per-response energy, per-master chargeback) are replayed by an
-  in-order Python loop — float addition is not associative, so they
-  are never vectorized.
+Identity with :meth:`GlobalPowerMonitor._step`, which replays a block
+holding a value beyond int64 row by row, is the contract: integers are
+exact and all converted before the first mutation; the energy
+expressions run elementwise on float64 arrays, which round as CPython
+floats do; the sequential float accumulators (ledger totals,
+per-instruction and per-response energy, per-master chargeback) are
+replayed by an in-order loop, since float addition is not associative.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as _np
 
 from ..kernel.rowbatch import RowBatch
-from .instructions import MODES, instruction_name
+from .hamming import block_primitives
+from .instructions import ALL_INSTRUCTIONS, MODES
 from .ledger import InstructionStats
-from .macromodels import block_energies
 from .monitors import GlobalPowerMonitor
 
-_MODE_CODE = {mode: code for code, mode in enumerate(MODES)}
-_INSTR = tuple(instruction_name(src, dst) for src in MODES
-               for dst in MODES)
+_BLOCK = block_primitives(_np)
 _RESP_NAMES = ("OKAY", "ERROR", "RETRY", "SPLIT")
 
 #: Signal widths above this cannot be masked inside int64 arrays.
 _MAX_NP_WIDTH = 62
-
-
-def _previous(values, first):
-    """*values* delayed by one cycle, led by *first* — the value stored
-    before the batch (OverflowError when it exceeds int64)."""
-    prev = _np.empty_like(values)
-    prev[0] = first
-    prev[1:] = values[:-1]
-    return prev
 
 
 class MonitorBatch(RowBatch):
@@ -78,7 +60,7 @@ class MonitorBatch(RowBatch):
         # Codes the live step raises on: HTRANS and HRESP outside 0..3,
         # a bus owner that does not index master_energy.
         super().__init__(process, monitor.columns, (
-            (0, 0, 3), (monitor._s2m_col + 1, 0, 3),
+            (0, 0, 3), (monitor._resp_col, 0, 3),
             (monitor._owner_col, -n_masters, n_masters - 1)))
 
     @classmethod
@@ -127,96 +109,25 @@ class MonitorBatch(RowBatch):
 
     # -- numpy replay --------------------------------------------------
 
-    def _activity_np(self, activity, cols, base, count):
-        """Pure compute phase for one activity group.
-
-        Returns ``(per_cycle_total, per_signal_hd, ones, lasts)``; the
-        caller applies the mutations only after every group computed,
-        so an OverflowError (huge stored value) leaves no torn state.
-        """
-        total = _np.zeros(count, dtype=_np.int64)
-        hds = []
-        ones = []
-        lasts = []
-        for offset, signal in enumerate(activity.signals):
-            values = cols[base + offset]
-            prev = _previous(values, activity._stored[signal])
-            mask = (1 << signal.width) - 1
-            hd = _np.bitwise_count((prev ^ values) & mask) \
-                .astype(_np.int64)
-            total += hd
-            hds.append(int(hd.sum()))
-            ones.append(int(_np.bitwise_count(values & mask)
-                            .astype(_np.int64).sum()))
-            lasts.append(int(values[-1]))
-        return total, hds, ones, lasts
-
     def _flush_np(self, rows):
         monitor = self.owner
-        arr = _np.array(rows, dtype=_np.int64)
-        count = arr.shape[0]
-        cols = arr.T
-        s2m_col, arb_col = monitor._s2m_col, monitor._arb_col
-        owner_col = monitor._owner_col
-
-        # ---- pure compute phase (exact integers) ----
-        m2s = self._activity_np(monitor._m2s_out, cols, 0, count)
-        s2m = self._activity_np(monitor._s2m_out, cols, s2m_col, count)
-        arb = self._activity_np(monitor._arb_in, cols, arb_col, count)
-
-        htrans = cols[0]
-        haddr = cols[1]
-        hwrite = cols[2]
-        hresp = cols[s2m_col + 1]
-        owner = cols[owner_col]
-        grant = cols[owner_col + 1]
-        dsel = cols[owner_col + 2]
-
-        handover = owner != _previous(owner, monitor._prev_owner)
-        parked = owner == monitor.bus.config.default_master
-        ho_flag = handover | (grant != owner) | parked
-
-        shift = monitor._decoder_shift
-        prev_haddr = _previous(haddr, monitor._prev_haddr)
-        dec_mask = (1 << monitor.decoder_model.n_inputs) - 1
-        hd_dec = _np.bitwise_count(
-            ((prev_haddr >> shift) ^ (haddr >> shift)) & dec_mask
-        ).astype(_np.int64)
-
-        hd_dsel = _np.bitwise_count(
-            (_previous(dsel, monitor._prev_dsel) ^ dsel) & 0xFF
-        ).astype(_np.int64)
-
-        transfer = (htrans == 2) | (htrans == 3)
-        writes = transfer & (hwrite != 0)
-        modes = _np.where(transfer, _np.where(hwrite != 0, 3, 2),
-                          _np.where(ho_flag, 1, 0))
-
-        # ---- energies: the macromodels' own expressions on arrays ----
-        e_m2s, e_s2m, e_dec, e_arb = block_energies(
-            monitor, m2s[0], s2m[0], hd_dsel, hd_dec, arb[0],
-            handover).values()
-
-        # ---- apply integer state (order-independent sums) ----
-        for activity, (_, hds, ones, lasts) in (
-                (monitor._m2s_out, m2s), (monitor._s2m_out, s2m),
-                (monitor._arb_in, arb)):
-            activity.record_batch(lasts, hds, ones, count)
-        monitor.decode_hd_total += int(hd_dec.sum())
-        monitor.decode_change_count += int(_np.count_nonzero(hd_dec))
-        monitor.dsel_hd_total += int(hd_dsel.sum())
-        monitor.handover_total += int(_np.count_nonzero(handover))
-        monitor.transfer_cycles += int(_np.count_nonzero(transfer))
-        monitor.write_cycles += int(_np.count_nonzero(writes))
-        monitor._prev_haddr = int(haddr[-1])
-        monitor._prev_owner = int(owner[-1])
-        monitor._prev_dsel = int(dsel[-1])
-
-        # ---- sequential float accumulators, strictly in order ----
+        width = len(monitor.columns)
+        # Row 0 holds the values before the block, so the current and
+        # previous values of every column are two views.
+        arr = _np.fromiter(
+            chain.from_iterable(chain((monitor._previous_row(),), rows)),
+            dtype=_np.int64, count=(len(rows) + 1) * width)
+        arr = arr.reshape(-1, width).T
+        cur = arr[:, 1:]
+        terms = monitor.cycle.terms(_BLOCK, cur, arr[:, :-1])
+        energies = monitor.cycle.energies(monitor, terms).values()
+        # ---- every conversion done: apply integers, then floats ----
+        monitor._fold(_BLOCK, cur, terms, len(rows))
         self._accumulate(
-            count, modes.tolist(), e_m2s.tolist(), e_s2m.tolist(),
-            e_dec.tolist(), e_arb.tolist(), hresp.tolist(),
-            owner.tolist())
+            len(rows), terms.mode.tolist(),
+            *[energy.tolist() for energy in energies],
+            cur[monitor._resp_col].tolist(),
+            cur[monitor._owner_col].tolist())
 
     def _accumulate(self, count, modes, l_m2s, l_s2m, l_dec, l_arb,
                     resps, owners):
@@ -241,7 +152,7 @@ class MonitorBatch(RowBatch):
         stats_by_code = [None] * 16
         resp_by_code = [None] * 4
         resp_order = []
-        prev = _MODE_CODE[fsm.state]
+        prev = MODES.index(fsm.state)
 
         for index in range(count):
             e0 = l_m2s[index]
@@ -261,7 +172,7 @@ class MonitorBatch(RowBatch):
             code = prev * 4 + mode
             stats = stats_by_code[code]
             if stats is None:
-                name = _INSTR[code]
+                name = ALL_INSTRUCTIONS[code]
                 stats = instructions.get(name)
                 if stats is None:
                     stats = instructions[name] = InstructionStats()

@@ -6,20 +6,13 @@
   sensitive to the bus clock, that observes the shared bus signals,
   evaluates the sub-block macromodels every cycle and drives the
   power FSM.  This is the reference model used for all paper
-  experiments.  Its per-cycle step is one scalar method,
-  :meth:`GlobalPowerMonitor._step`, run on every clock edge by the
-  live method and by the batched replay whenever NumPy cannot hold the
-  recorded values; the replay's NumPy path
-  (:mod:`repro.power.monitor_batch`) charges the same macromodel
-  expressions (:func:`~repro.power.macromodels.block_energies`) on a
-  block's arrays.  On both engines and on every clock domain a stock
-  monitor, found by its ``_on_clk`` process as compliance engines are,
-  records one row per cycle and is replayed in blocks through one
-  protocol (:mod:`repro.kernel.rowbatch`) that
-  :meth:`~repro.kernel.Simulator.run` arms; the live method runs per
-  cycle only when a power-FSM sink needs per-cycle time stamps, a
-  clock gate or clock tree is configured, or a kernel observer is
-  attached.
+  experiments.  A cycle's integer terms are written once, in
+  :class:`BusCycle`, and its energies once, in the macromodels:
+  :meth:`GlobalPowerMonitor._step` runs them on one row, the batched
+  replay (:mod:`repro.power.monitor_batch`, which a stock monitor uses
+  on both engines unless a per-cycle sink, a clock gate or tree, or a
+  kernel observer needs the live method) on a block's columns, and
+  the VCD replay (:mod:`repro.power.offline`) on dumped rows.
 
 * :class:`LocalPowerMonitor` — "a particular process added to those
   already present in the module ... a system activity monitor".  It
@@ -42,13 +35,21 @@ at all.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from operator import attrgetter
 
-from ..amba.types import HTRANS, hresp_of
+from ..amba.types import hresp_of, htrans_of
 from ..kernel import Module
 from .activity import Activity
-from .hamming import hamming
-from .instructions import classify_mode, instruction_name
+from .hamming import ROW, hamming, switching
+from .instructions import (
+    MODES,
+    READ_CODE,
+    WRITE_CODE,
+    classify_mode,
+    instruction_name,
+    mode_code,
+)
 from .ledger import (
     BLOCK_ARB,
     BLOCK_DEC,
@@ -65,13 +66,17 @@ from .power_trace import TraceSet
 #: Reads a signal's committed value (the row the global step takes).
 _VALUE = attrgetter("_value")
 
-#: HTRANS codes of a data-transfer cycle.
-_TRANSFERS = (int(HTRANS.NONSEQ), int(HTRANS.SEQ))
+#: The global monitor's aggregate activity counters, consumed by
+#: repro.power.statistical.WorkloadStatistics.from_monitor.
+_COUNTERS = ("decode_hd_total", "decode_change_count", "dsel_hd_total",
+             "handover_total", "transfer_cycles", "write_cycles")
 
-#: Bus signals driven by the M2S and by the S2M multiplexer.
-_M2S_OUT = ("htrans", "haddr", "hwrite", "hsize", "hburst", "hprot",
-            "hwdata")
-_S2M_OUT = ("hrdata", "hresp", "hready")
+#: Bus signals driven by the M2S and by the S2M multiplexer, by their
+#: VCD names (:func:`repro.power.offline.trace_bus`); the bus attribute
+#: is the lower-case name.
+M2S_SIGNALS = ("HTRANS", "HADDR", "HWRITE", "HSIZE", "HBURST", "HPROT",
+               "HWDATA")
+S2M_SIGNALS = ("HRDATA", "HRESP", "HREADY")
 
 
 def _decoder_shift(address_map):
@@ -85,6 +90,75 @@ def _decoder_shift(address_map):
     if not sizes:
         return 0
     return int(math.floor(math.log2(min(sizes))))
+
+
+def handover(owner, prev_owner, grant, default_master):
+    """``(handed_over, flag)``: whether ownership changed at this cycle
+    boundary, and whether the cycle is handover territory for the mode
+    classification.
+
+    A pending grant change is handover territory, and so are cycles
+    parked on the default master: it never transfers, so the next real
+    transfer necessarily involves a grant change (the paper's IDLE_HO
+    periods span whole idle windows, see DESIGN.md).
+    """
+    handed_over = owner != prev_owner
+    return handed_over, (handed_over | (grant != owner)
+                         | (owner == default_master))
+
+
+#: One cycle's integer terms, or every cycle's on a block: ``activity``
+#: holds each activity group's ``(total, distances, ones)`` (see
+#: :func:`~repro.power.hamming.switching`).
+CycleTerms = namedtuple(
+    "CycleTerms", "activity hd_decode hd_dsel handed_over mode")
+
+
+class BusCycle:
+    """The global monitor's integer arithmetic over a cycle's values
+    *cur* and those before it *prev*: a row of Python ints, or a
+    block's int64 columns, on which its operators mean the same; *ops*
+    holds the primitives that differ (:mod:`repro.power.hamming`).
+
+    A row holds the activity groups' signals, whose widths
+    *group_widths* gives (M2S, led by HTRANS, HADDR, HWRITE; S2M;
+    arbiter requests), then the owner, pending grant and data select.
+    The decoder sees HADDR above *decoder_shift*, *decoder_inputs* wide.
+    """
+
+    def __init__(self, group_widths, decoder_shift, decoder_inputs,
+                 default_master):
+        self.bounds, self._masks, start = [], [], 0
+        for widths in group_widths:
+            self.bounds.append((start, start + len(widths)))
+            self._masks.append([(1 << width) - 1 for width in widths])
+            start += len(widths)
+        self.owner_col = start
+        self._shift = decoder_shift
+        self._decoder_mask = (1 << decoder_inputs) - 1
+        self._default_master = default_master
+
+    def terms(self, ops, cur, prev):
+        """The :class:`CycleTerms` of *cur* after *prev*."""
+        owner = self.owner_col
+        shift = self._shift
+        handed_over, flag = handover(cur[owner], prev[owner],
+                                     cur[owner + 1], self._default_master)
+        return CycleTerms(
+            [switching(ops, cur[start:stop], prev[start:stop], masks)
+             for (start, stop), masks in zip(self.bounds, self._masks)],
+            ops.popcount(((prev[1] >> shift) ^ (cur[1] >> shift))
+                         & self._decoder_mask),
+            ops.popcount((prev[owner + 2] ^ cur[owner + 2]) & 0xFF),
+            handed_over, mode_code(cur[0], cur[2], flag))
+
+    @staticmethod
+    def energies(models, terms):
+        """The four sub-block energies of *terms* (per cycle on a
+        block), from the macromodels *models* holds."""
+        (m2s, _, _), (s2m, _, _), (requests, _, _) = terms.activity
+        return block_energies(models, m2s, s2m, terms.hd_dsel,
+                              terms.hd_decode, requests, terms.handed_over)
 
 
 class _BusPowerMonitor(Module):
@@ -108,38 +182,14 @@ class _BusPowerMonitor(Module):
 
     def _on_clk(self):
         bus = self.bus
-        _, handover = self._handover(bus.hmaster.value,
-                                     bus.arbiter._grant_idx.value)
-        self._charge(self.sim.now, bus.htrans.value, bus.hwrite.value,
-                     handover, bus.hresp.value)
-
-    def _handover(self, owner, grant):
-        """Track bus ownership for one cycle.
-
-        Returns ``(handed_over, handover)``: whether ownership changed
-        at this cycle boundary, and whether the cycle is handover
-        territory for the mode classification.
-        """
-        handed_over = owner != self._prev_owner
+        owner = bus.hmaster.value
+        _, flag = handover(owner, self._prev_owner,
+                           bus.arbiter._grant_idx.value,
+                           self._default_master)
         self._prev_owner = owner
-        # A pending grant change is handover territory, and so are
-        # cycles parked on the default master: it never transfers, so
-        # the next real transfer necessarily involves a grant change
-        # (the paper's IDLE_HO periods span whole idle windows, see
-        # DESIGN.md).
-        return handed_over, (handed_over or grant != owner
-                             or owner == self._default_master)
-
-    def _charge(self, now, htrans, hwrite, handover, hresp, energies=None):
-        """Classify the cycle and step the FSM with its energies.
-
-        *energies* maps block → joules; ``None`` asks the style's
-        :meth:`_energies` rule, once the mode is known.
-        """
-        mode = classify_mode(htrans, hwrite, handover=handover)
-        if energies is None:
-            energies = self._energies(mode)
-        self.fsm.step(now, mode, energies, response=hresp_of(hresp).name)
+        mode = classify_mode(bus.htrans.value, bus.hwrite.value, flag)
+        self.fsm.step(self.sim.now, mode, self._energies(mode),
+                      response=hresp_of(bus.hresp.value).name)
 
     @property
     def total_energy(self):
@@ -215,41 +265,34 @@ class GlobalPowerMonitor(_BusPowerMonitor):
         (self.m2s_model, self.s2m_model, self.decoder_model,
          self.arbiter_model) = bus_macromodels(cfg, params)
 
-        self._m2s_out = Activity(
-            "m2s_out", [getattr(bus, name) for name in _M2S_OUT])
-        self._s2m_out = Activity(
-            "s2m_out", [getattr(bus, name) for name in _S2M_OUT])
-        request_signals = []
-        for port in bus.master_ports:
-            request_signals.append(port.hbusreq)
-            request_signals.append(port.hlock)
-        self._arb_in = Activity("arb_in", request_signals)
-
+        self._groups = (
+            Activity("m2s_out", [getattr(bus, name.lower())
+                                 for name in M2S_SIGNALS]),
+            Activity("s2m_out", [getattr(bus, name.lower())
+                                 for name in S2M_SIGNALS]),
+            Activity("arb_in", [signal for port in bus.master_ports
+                                for signal in (port.hbusreq, port.hlock)]))
+        self._m2s_out, self._s2m_out, self._arb_in = self._groups
         #: Column layout of one cycle's committed values, the row
         #: :meth:`_step` analyses (and the batch recorder appends):
         #: the three activity groups' signals in their sample order —
         #: so HTRANS, HADDR, HWRITE lead and HRESP is the second
         #: S2M column — then owner, pending grant and data-phase select.
-        self.columns = (self._m2s_out.signals + self._s2m_out.signals
-                        + self._arb_in.signals
-                        + (bus.hmaster, bus.arbiter._grant_idx,
-                           bus.s2m_mux.dsel))
-        self._s2m_col = len(self._m2s_out.signals)
-        self._arb_col = self._s2m_col + len(self._s2m_out.signals)
-        self._owner_col = self._arb_col + len(self._arb_in.signals)
-
+        self.columns = sum((activity.signals for activity in self._groups),
+                           ()) + (bus.hmaster, bus.arbiter._grant_idx,
+                                  bus.s2m_mux.dsel)
         self._decoder_shift = _decoder_shift(cfg.address_map)
-        self._prev_haddr = bus.haddr.value
+        self.cycle = BusCycle(
+            [[signal.width for signal in activity.signals]
+             for activity in self._groups],
+            self._decoder_shift, self.decoder_model.n_inputs,
+            cfg.default_master)
+        self._resp_col = len(self._m2s_out.signals) + 1
+        self._owner_col = self.cycle.owner_col
         self._prev_dsel = bus.s2m_mux.dsel.value
 
-        # Aggregate activity counters consumed by
-        # repro.power.statistical.WorkloadStatistics.from_monitor.
-        self.decode_hd_total = 0
-        self.decode_change_count = 0
-        self.dsel_hd_total = 0
-        self.handover_total = 0
-        self.transfer_cycles = 0
-        self.write_cycles = 0
+        for name in _COUNTERS:
+            setattr(self, name, 0)
 
         #: Energy chargeback: joules attributed to each master index
         #: (the cycle's address-phase owner pays for the cycle).
@@ -260,56 +303,54 @@ class GlobalPowerMonitor(_BusPowerMonitor):
     def _on_clk(self):
         self._step(tuple(map(_VALUE, self.columns)), self.sim.now)
 
+    def _previous_row(self):
+        """The values the next cycle is compared with, in
+        :attr:`columns` order: each activity signal's stored value
+        (HADDR's is also the decoder's), the owner (again in the
+        unused grant column) and the data-phase select."""
+        m2s, s2m, arb = self._groups
+        return (*m2s._stored, *s2m._stored, *arb._stored, self._prev_owner,
+                self._prev_owner, self._prev_dsel)
+
     def _step(self, row, now):
         """Analyse one cycle: *row* holds its committed values in
         :attr:`columns` order, *now* is its time stamp.
 
-        The one scalar implementation of the cycle, run live and by
-        the batched replay when its NumPy path cannot hold the
-        values.  An invalid value (bad HTRANS/HRESP code, owner out
-        of range) raises part-way, after the statements before it.
+        Run live and by the batched replay when its NumPy path cannot
+        hold the values.  An invalid value (bad HTRANS/HRESP code,
+        owner out of range) raises part-way: after the integer state,
+        before the FSM step for a code, after it for an owner.
         """
-        s2m_col, arb_col, owner_col = (self._s2m_col, self._arb_col,
-                                       self._owner_col)
-        m2s_total = sum(self._m2s_out.record(row[:s2m_col]))
-        s2m_total = sum(self._s2m_out.record(row[s2m_col:arb_col]))
-        arb_total = sum(self._arb_in.record(row[arb_col:owner_col]))
-
-        owner = row[owner_col]
-        handed_over, handover = self._handover(owner, row[owner_col + 1])
-
-        haddr = row[1]
-        hd_decode = hamming(
-            self._prev_haddr >> self._decoder_shift,
-            haddr >> self._decoder_shift,
-            width=self.decoder_model.n_inputs,
-        )
-        self._prev_haddr = haddr
-
-        dsel = row[owner_col + 2]
-        hd_dsel = hamming(self._prev_dsel, dsel, width=8)
-        self._prev_dsel = dsel
-
-        self.decode_hd_total += hd_decode
-        if hd_decode:
-            self.decode_change_count += 1
-        self.dsel_hd_total += hd_dsel
-        if handed_over:
-            self.handover_total += 1
-        htrans, hwrite = row[0], row[2]
-        if htrans in _TRANSFERS:
-            self.transfer_cycles += 1
-            if hwrite:
-                self.write_cycles += 1
-
-        energies = block_energies(self, m2s_total, s2m_total, hd_dsel,
-                                  hd_decode, arb_total, handed_over)
+        terms = self.cycle.terms(ROW, row, self._previous_row())
+        self._fold(ROW, row, terms, 1)
+        energies = self.cycle.energies(self, terms)
         if self._clock_tree_energy is not None:
             energies["CLK"] = self._clock_tree_cycle_energy()
+        htrans_of(row[0])  # raises for a code with no HTRANS member
+        self.fsm.step(now, MODES[terms.mode], energies,
+                      response=hresp_of(row[self._resp_col]).name)
+        self.master_energy[row[self._owner_col]] += sum(energies.values())
 
-        self._charge(now, htrans, hwrite, handover, row[s2m_col + 1],
-                     energies)
-        self.master_energy[owner] += sum(energies.values())
+    def _fold(self, ops, cur, terms, count):
+        """Apply the integer *terms* of *count* cycles whose values are
+        *cur* (a row, or a block's columns) to the activity groups, the
+        stored values and the aggregate counters."""
+        last = ops.last(cur)
+        for activity, (start, stop), (_, distances, ones) in zip(
+                self._groups, self.cycle.bounds, terms.activity):
+            activity.record_batch(last[start:stop], distances, ones, count)
+        self._prev_owner = last[self._owner_col]
+        self._prev_dsel = last[self._owner_col + 2]
+        decode, changes, dsel, handovers, transfers, writes = ops.totals((
+            terms.hd_decode, terms.hd_decode != 0, terms.hd_dsel,
+            terms.handed_over, terms.mode >= READ_CODE,
+            terms.mode == WRITE_CODE))
+        self.decode_hd_total += decode
+        self.decode_change_count += changes
+        self.dsel_hd_total += dsel
+        self.handover_total += handovers
+        self.transfer_cycles += transfers
+        self.write_cycles += writes
 
     def master_energy_shares(self):
         """Fraction of total energy attributed to each master index."""
@@ -338,11 +379,8 @@ class GlobalPowerMonitor(_BusPowerMonitor):
 
     def activity_summary(self):
         """Switching statistics of all monitored signal groups."""
-        return {
-            "m2s_out": self._m2s_out.summary(),
-            "s2m_out": self._s2m_out.summary(),
-            "arb_in": self._arb_in.summary(),
-        }
+        return {activity.name: activity.summary()
+                for activity in self._groups}
 
     # -- checkpoint support ---------------------------------------------
 
@@ -356,36 +394,24 @@ class GlobalPowerMonitor(_BusPowerMonitor):
         state = super().state_dict()
         state.update({
             "was_gated": self._was_gated,
-            "prev_haddr": self._prev_haddr,
+            "prev_haddr": self._m2s_out._stored[1],
             "prev_dsel": self._prev_dsel,
-            "decode_hd_total": self.decode_hd_total,
-            "decode_change_count": self.decode_change_count,
-            "dsel_hd_total": self.dsel_hd_total,
-            "handover_total": self.handover_total,
-            "transfer_cycles": self.transfer_cycles,
-            "write_cycles": self.write_cycles,
+            **{name: getattr(self, name) for name in _COUNTERS},
             "master_energy": list(self.master_energy),
-            "m2s_out": self._m2s_out.state_dict(),
-            "s2m_out": self._s2m_out.state_dict(),
-            "arb_in": self._arb_in.state_dict(),
+            **{activity.name: activity.state_dict()
+               for activity in self._groups},
         })
         return state
 
     def load_state_dict(self, state):
         super().load_state_dict(state)
         self._was_gated = state["was_gated"]
-        self._prev_haddr = state["prev_haddr"]
         self._prev_dsel = state["prev_dsel"]
-        self.decode_hd_total = state["decode_hd_total"]
-        self.decode_change_count = state["decode_change_count"]
-        self.dsel_hd_total = state["dsel_hd_total"]
-        self.handover_total = state["handover_total"]
-        self.transfer_cycles = state["transfer_cycles"]
-        self.write_cycles = state["write_cycles"]
+        for name in _COUNTERS:
+            setattr(self, name, state[name])
         self.master_energy = list(state["master_energy"])
-        self._m2s_out.load_state_dict(state["m2s_out"])
-        self._s2m_out.load_state_dict(state["s2m_out"])
-        self._arb_in.load_state_dict(state["arb_in"])
+        for activity in self._groups:
+            activity.load_state_dict(state[activity.name])
 
 
 class LocalPowerMonitor(_BusPowerMonitor):
@@ -443,11 +469,11 @@ class PrivatePowerMonitor(_BusPowerMonitor):
                     * math.ceil(math.log2(n_slaves_total)))
 
         half_cv2 = params.half_cv2
-        for block, names, depth in ((BLOCK_M2S, _M2S_OUT, m2s_depth),
-                                    (BLOCK_S2M, _S2M_OUT, s2m_depth)):
+        for block, names, depth in ((BLOCK_M2S, M2S_SIGNALS, m2s_depth),
+                                    (BLOCK_S2M, S2M_SIGNALS, s2m_depth)):
             per_bit = half_cv2 * (params.c_pd * depth + params.c_o)
             for name in names:
-                getattr(bus, name).add_watcher(
+                getattr(bus, name.lower()).add_watcher(
                     self._make_watcher(block, per_bit))
 
         for port in bus.slave_ports + [bus.default_slave_port]:

@@ -2,9 +2,10 @@
 
 A complementary flow to the live monitors: run the functional model
 once with VCD tracing (no power code at all — the fastest simulation
-mode), then replay the waveform through the macromodels as many times
-as needed — different technology parameters, voltage corners, or model
-coefficients — without re-simulating.
+mode), then replay the waveform through the global monitor's cycle
+arithmetic and macromodels as many times as needed — different
+technology parameters, voltage corners, or model coefficients —
+without re-simulating.
 
 Use :func:`trace_bus` to dump the canonical signal set during
 simulation and :class:`OfflinePowerAnalyzer` to replay it.
@@ -14,18 +15,13 @@ from __future__ import annotations
 
 from ..kernel import VcdTracer
 from ..kernel.vcd_reader import load_vcd
-from .hamming import hamming
-from .instructions import classify_mode
+from .hamming import ROW
+from .instructions import MODES
 from .ledger import EnergyLedger
-from .macromodels import block_energies, bus_macromodels
-from .monitors import _decoder_shift
+from .macromodels import bus_macromodels
+from .monitors import M2S_SIGNALS, S2M_SIGNALS, BusCycle, _decoder_shift
 from .parameters import PAPER_TECHNOLOGY
 from .power_fsm import PowerFsm
-
-#: Canonical VCD names used by :func:`trace_bus` / the analyzer.
-M2S_SIGNALS = ("HTRANS", "HADDR", "HWRITE", "HSIZE", "HBURST", "HPROT",
-               "HWDATA")
-S2M_SIGNALS = ("HRDATA", "HRESP", "HREADY")
 
 
 def trace_bus(sim, bus, path):
@@ -65,28 +61,16 @@ class OfflinePowerAnalyzer:
          self.arbiter_model) = bus_macromodels(config, params)
         self.decoder_shift = _decoder_shift(config.address_map)
 
-    def _signal_widths(self):
-        cfg = self.config
-        return {
-            "HTRANS": 2, "HADDR": cfg.addr_width, "HWRITE": 1,
-            "HSIZE": 3, "HBURST": 3, "HPROT": 4,
-            "HWDATA": cfg.data_width, "HRDATA": cfg.data_width,
-            "HRESP": 2, "HREADY": 1, "HMASTER": 4, "DSEL": 8,
-        }
-
     def analyze(self, vcd, clock_period_ps, first_edge_ps,
                 t_end=None):
-        """Replay *vcd* and return the resulting
-        :class:`~repro.power.ledger.EnergyLedger`."""
-        widths = self._signal_widths()
-        request_names = []
-        for index in range(self.config.n_masters):
-            for stem in ("HBUSREQ%d", "HLOCK%d"):
-                name = stem % index
-                if name in vcd:
-                    request_names.append(name)
-                    widths[name] = 1
+        """Replay *vcd* through the global monitor's arithmetic
+        (:class:`~repro.power.monitors.BusCycle`) and return the
+        resulting :class:`~repro.power.ledger.EnergyLedger`.
 
+        Values before the first sample are 0.  The owner stands in for
+        the unrecorded grant, so a cycle is handover territory when
+        ownership changed or is parked; no response is tagged.
+        """
         missing = [name for name in
                    M2S_SIGNALS + S2M_SIGNALS + ("HMASTER", "DSEL")
                    if name not in vcd]
@@ -94,44 +78,29 @@ class OfflinePowerAnalyzer:
             raise ValueError(
                 "VCD lacks required signals: %s (record with "
                 "repro.power.offline.trace_bus)" % ", ".join(missing))
+        requests = tuple(stem % index
+                         for index in range(self.config.n_masters)
+                         for stem in ("HBUSREQ%d", "HLOCK%d")
+                         if stem % index in vcd)
+        cfg = self.config
+        cycle = BusCycle(  # widths in M2S_SIGNALS, S2M_SIGNALS order
+            ((2, cfg.addr_width, 1, 3, 3, 4, cfg.data_width),
+             (cfg.data_width, 2, 1), (1,) * len(requests)),
+            self.decoder_shift, self.decoder_model.n_inputs,
+            self.config.default_master)
+        signals = [vcd[name] for name in M2S_SIGNALS + S2M_SIGNALS
+                   + requests + ("HMASTER", "HMASTER", "DSEL")]
 
         ledger = EnergyLedger()
         fsm = PowerFsm(ledger)
-        previous = {name: 0 for name in widths}
-        default_master = self.config.default_master
-
+        previous = (0,) * len(signals)
         for sample_time in vcd.sample_times(clock_period_ps,
                                             first_edge_ps, t_end=t_end):
-            current = {name: vcd[name].value_at(sample_time)
-                       for name in widths}
-
-            hd_m2s = sum(
-                hamming(previous[name], current[name],
-                        width=widths[name])
-                for name in M2S_SIGNALS)
-            hd_s2m = sum(
-                hamming(previous[name], current[name],
-                        width=widths[name])
-                for name in S2M_SIGNALS)
-            hd_req = sum(
-                hamming(previous[name], current[name], width=1)
-                for name in request_names)
-            hd_decode = hamming(
-                previous["HADDR"] >> self.decoder_shift,
-                current["HADDR"] >> self.decoder_shift,
-                width=self.decoder_model.n_inputs)
-            hd_dsel = hamming(previous["DSEL"], current["DSEL"],
-                              width=8)
-            handover = current["HMASTER"] != previous["HMASTER"]
-
-            energies = block_energies(self, hd_m2s, hd_s2m, hd_dsel,
-                                      hd_decode, hd_req, handover)
-            mode = classify_mode(
-                current["HTRANS"], current["HWRITE"],
-                handover=handover
-                or current["HMASTER"] == default_master,
-            )
-            fsm.step(sample_time, mode, energies)
+            current = tuple(signal.value_at(sample_time)
+                            for signal in signals)
+            terms = cycle.terms(ROW, current, previous)
+            fsm.step(sample_time, MODES[terms.mode],
+                     cycle.energies(self, terms))
             previous = current
         return ledger
 

@@ -37,7 +37,13 @@ from ..amba.config import Arbitration
 from ..amba.watchdog import WatchdogEvent
 from ..kernel import WallClockDeadlineError, clock_period
 from ..power import EnergyLedger
-from ..power.instructions import BusMode, instruction_name
+from ..power.instructions import (
+    ALL_INSTRUCTIONS,
+    IDLE_CODE,
+    IDLE_HO_CODE,
+    READ_CODE,
+    WRITE_CODE,
+)
 from .bus import TlmArbiter, TlmDecoder
 
 #: Cycles a RETRY/SPLIT/ERROR response occupies the bus (AMBA's
@@ -47,19 +53,13 @@ RESPONSE_CYCLES = 2
 #: Main-loop iterations between wall-clock deadline checks.
 _DEADLINE_STRIDE = 4096
 
-#: The four bus modes by the small-int code the emit path carries (an
-#: enum member hashes in Python, and every mode run is classified).
-_MODES = (BusMode.IDLE, BusMode.IDLE_HO, BusMode.READ, BusMode.WRITE)
-_IDLE, _IDLE_HO, _READ, _WRITE = range(4)
-
 #: Response tags a mode run can carry (``None``: a plain transfer).
 _RESPONSES = (None, "RETRY", "ERROR", "SPLIT", "STALL")
 #: Index of each ``(instruction, response)`` bucket a mode run is
 #: counted in: ``16 * response + 4 * previous + current``, so the emit
 #: path counts in a flat list and formats no string.
-_BUCKETS = tuple((instruction_name(src, dst), response)
-                 for response in _RESPONSES
-                 for src in _MODES for dst in _MODES)
+_BUCKETS = tuple((name, response) for response in _RESPONSES
+                 for name in ALL_INSTRUCTIONS)
 _BUCKET_BASE = {response: 16 * index
                 for index, response in enumerate(_RESPONSES)}
 
@@ -186,7 +186,7 @@ class TlmSystem:
 
         #: Cycle count per :data:`_BUCKETS` entry.
         self._counts = [0] * len(_BUCKETS)
-        self._prev_mode = _IDLE
+        self._prev_mode = IDLE_CODE
         self._cycle = 0
         self._budget = 0
         self._beats_served = {}
@@ -351,11 +351,11 @@ class TlmSystem:
         watchdog = self.watchdog
         self._emit(mode, 1)
         if watchdog is None:
-            self._emit(_IDLE, self._budget - self._cycle,
+            self._emit(IDLE_CODE, self._budget - self._cycle,
                        response="STALL")
             return
         while True:
-            if self._emit(_IDLE, watchdog.hready_timeout,
+            if self._emit(IDLE_CODE, watchdog.hready_timeout,
                           response="STALL") < watchdog.hready_timeout:
                 return
             recovered = watchdog.recover
@@ -409,7 +409,7 @@ class TlmSystem:
     def _transfer(self, master):
         txn = master.pending
         slave = self.decoder.decode(txn.address)
-        mode = _WRITE if txn.write else _READ
+        mode = WRITE_CODE if txn.write else READ_CODE
         txn.issue_time = self._cycle * self.period
         if slave is None:
             # Decode miss: the default slave answers with a two-cycle
@@ -432,7 +432,7 @@ class TlmSystem:
             # BUSY cycles fold into IDLE in the four-mode alphabet.
             for beat in range(txn.beats):
                 if beat and self._emit(
-                        _IDLE,
+                        IDLE_CODE,
                         txn.busy_between_beats) < txn.busy_between_beats:
                     return
                 if self._emit(mode, beat_cost) < beat_cost:
@@ -507,7 +507,7 @@ class TlmSystem:
                     target = budget
                 # Parked on the default master: the cycle-accurate
                 # monitor classifies these gap cycles as IDLE_HO.
-                emit(_IDLE_HO, target - cycle)
+                emit(IDLE_HO_CODE, target - cycle)
                 continue
             chained = (owner < n_masters
                        and masters[owner].ready_cycle <= owner_release)
@@ -516,7 +516,7 @@ class TlmSystem:
                 self.handover_count += 1
                 owner = winner
                 if self.handover_cycles and emit(
-                        _IDLE_HO,
+                        IDLE_HO_CODE,
                         self.handover_cycles) < self.handover_cycles:
                     break
             transfer(masters[winner])

@@ -142,6 +142,17 @@ $enddefinitions $end
         with pytest.raises(ValueError):
             analyzer.analyze(read_vcd(io.StringIO(text)), 10_000, 5_000)
 
+    @pytest.mark.parametrize("period_ps", (0, -10_000))
+    def test_non_positive_clock_period_rejected(self, tmp_path,
+                                                period_ps):
+        # A period that never advances the sampling edge is refused
+        # before any sample time is collected.
+        tb, path = record_run(tmp_path, duration_us=1,
+                              with_monitor=False)
+        with pytest.raises(ValueError, match="clock period"):
+            OfflinePowerAnalyzer(tb.config).analyze(
+                load_vcd(str(path)), period_ps, 5_000)
+
     def test_instruction_split_close_to_live(self, tmp_path):
         """Offline classification lacks only the (unobservable)
         pending-grant flag; the class split stays close."""
