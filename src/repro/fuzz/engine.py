@@ -525,7 +525,8 @@ class FuzzCampaign:
             try:
                 shrunk = shrink(
                     spec,
-                    min_duration_us=self.config.min_shrink_duration_us)
+                    min_duration_us=self.config.min_shrink_duration_us,
+                    original=outcome)
             except ValueError as exc:
                 failure["detail"] = "shrink failed: %s" % exc
             else:

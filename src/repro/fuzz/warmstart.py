@@ -40,11 +40,11 @@ import hashlib
 import os
 
 from ..kernel import us
+from ..replay.trace import MIN_WARM_CYCLES
 from ..state import CheckpointStore, canonical_json
 
-#: Don't bother producing a prefix checkpoint below this many cycles —
-#: the restore overhead would rival the simulation it saves.
-MIN_WARM_CYCLES = 64
+__all__ = ["MIN_WARM_CYCLES", "WarmStartCache", "prefix_horizon_ps",
+           "prefix_signature"]
 
 
 def prefix_signature(spec):

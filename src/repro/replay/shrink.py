@@ -182,7 +182,7 @@ def _shrink_duration(spec, evaluate, steps, min_duration_us=0.5):
     return spec
 
 
-def shrink(spec, predicate=None, min_duration_us=0.5):
+def shrink(spec, predicate=None, min_duration_us=0.5, original=None):
     """Minimise *spec* while its failure keeps reproducing.
 
     Parameters
@@ -195,12 +195,17 @@ def shrink(spec, predicate=None, min_duration_us=0.5):
         signature (see :func:`failure_signature`).
     min_duration_us:
         Floor below which the duration is not halved further.
+    original:
+        The :class:`~repro.replay.trace.RunOutcome` of *spec* when the
+        caller already has it (a fuzz worker's fingerprint); *spec* is
+        executed only when it is not given.
 
     Returns a :class:`ShrinkResult`.  Raises ``ValueError`` when the
     original spec does not satisfy the predicate (nothing to shrink).
     """
-    system, original = execute(spec)
-    close_system(system)
+    if original is None:
+        system, original = execute(spec)
+        close_system(system)
     if predicate is None:
         if not original.failing:
             raise ValueError(

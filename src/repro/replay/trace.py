@@ -293,8 +293,9 @@ class RunOutcome:
 
 #: Don't produce a shared warm-start checkpoint below this prefix
 #: length — restore overhead would rival the simulation it saves.
-#: (Local constant: the fuzz layer imports replay, never the reverse.)
-_MIN_WARM_CYCLES = 64
+#: (Defined here and re-exported by :mod:`repro.fuzz.warmstart`: the
+#: fuzz layer imports replay, never the reverse.)
+MIN_WARM_CYCLES = 64
 
 
 def _run_warm(system, warm, duration_ps, wall_clock_budget):
@@ -327,7 +328,7 @@ def _run_warm(system, warm, duration_ps, wall_clock_budget):
     period = system.clk.period
     warm_cycles = horizon // 2 // period
     warm_ps = warm_cycles * period
-    if warm_cycles < _MIN_WARM_CYCLES or warm_ps >= duration_ps:
+    if warm_cycles < MIN_WARM_CYCLES or warm_ps >= duration_ps:
         system.run(duration_ps, wall_clock_budget=wall_clock_budget)
         return
     system.run(warm_ps, wall_clock_budget=wall_clock_budget)

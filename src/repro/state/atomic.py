@@ -21,11 +21,15 @@ import tempfile
 def atomic_write_json(path, data, indent=2, sort_keys=True):
     """Write *data* as JSON to *path* atomically.
 
-    The temporary file lives in the destination directory (``rename``
-    across filesystems is not atomic), is fsynced before the rename,
-    and is removed on any serialization failure so aborted writes
-    leave no droppings next to the real file.
+    The text is built before the temporary file exists, with
+    ``json.dumps``: it runs the C encoder when *indent* is None, where
+    ``json.dump`` never does.  A serialization failure therefore
+    leaves nothing behind.  The temporary file lives in the
+    destination directory (``rename`` across filesystems is not
+    atomic), is fsynced before the rename, and is removed on any
+    write failure.
     """
+    text = json.dumps(data, indent=indent, sort_keys=sort_keys) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(
@@ -33,8 +37,7 @@ def atomic_write_json(path, data, indent=2, sort_keys=True):
     )
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(data, fh, indent=indent, sort_keys=sort_keys)
-            fh.write("\n")
+            fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp_path, path)

@@ -130,8 +130,14 @@ class Snapshot:
         return snapshot
 
     def save(self, path):
-        """Write the snapshot atomically; returns *path*."""
-        return atomic_write_json(path, self.to_dict())
+        """Write the snapshot atomically as compact JSON; returns
+        *path*.
+
+        A snapshot file is machine state, verified by its digest on
+        load, so it skips the indent (which would force the pure-Python
+        encoder).  Indented snapshot files load the same.
+        """
+        return atomic_write_json(path, self.to_dict(), indent=None)
 
     @classmethod
     def load(cls, path, verify=True):

@@ -33,7 +33,6 @@ from __future__ import annotations
 import time as _time
 from math import floor
 
-from ..amba.config import Arbitration
 from ..amba.watchdog import WatchdogEvent
 from ..kernel import WallClockDeadlineError, clock_period
 from ..power import EnergyLedger

@@ -8,11 +8,15 @@ schedule length that replays to the same rule_id.
 """
 
 import hashlib
+import io
+import json
 import os
 
 import pytest
 
 from repro.cli import main
+from repro.exec import ExecutorConfig, execute_campaign
+from repro.faults import CampaignRun
 from repro.fuzz import (
     Corpus,
     FuzzConfig,
@@ -20,7 +24,14 @@ from repro.fuzz import (
     run_fuzz_campaign,
 )
 from repro.fuzz.coverage import CoverageMap
-from repro.replay import FaultEntry, ReplayTrace, campaign_spec
+from repro.replay import (
+    FaultEntry,
+    ReplayTrace,
+    RunOutcome,
+    campaign_spec,
+    execute,
+)
+from tests.test_replay import count_shrink_executions, hresp_crash_spec
 
 SCENARIO = "portable-audio-player"
 
@@ -89,6 +100,31 @@ class TestCampaignLoop:
             digests.append(corpus_digest(root))
         assert digests[0] == digests[1]  # rerun-stable
         assert digests[0] == digests[2]  # worker-count invariant
+
+    def test_indented_files_keep_their_bytes(self, tmp_path):
+        """state.json, coverage.json and the corpus entries are still
+        exactly what ``json.dump(indent=2, sort_keys=True)`` and a
+        newline write; only warm-start checkpoints are compact."""
+        root = str(tmp_path / "corpus")
+        run_fuzz_campaign(root, quick_config(warm_start=True))
+        names = sorted(name for name in os.listdir(root)
+                       if name.endswith(".json"))
+        assert {"state.json", "coverage.json"} < set(names)
+        for name in names:
+            with open(os.path.join(root, name)) as fh:
+                text = fh.read()
+            expected = io.StringIO()
+            json.dump(json.loads(text), expected, indent=2,
+                      sort_keys=True)
+            assert text == expected.getvalue() + "\n", name
+        checkpoints = [os.path.join(directory, name)
+                       for directory, _, files in os.walk(
+                           os.path.join(root, "warmstart"))
+                       for name in files if name.startswith("ckpt-")]
+        assert checkpoints
+        for path in checkpoints:
+            with open(path) as fh:
+                assert fh.read().count("\n") == 1
 
     def test_resume_continues_the_budget(self, tmp_path):
         root = str(tmp_path / "corpus")
@@ -173,6 +209,46 @@ class TestFailureHandling:
         shrunk = [failure for failure in report.failures
                   if failure["signature"] == "rule|alignment|mandatory"]
         assert len(shrunk) == 1
+
+
+class TestShrinkStartsFromWorkerOutcome:
+    """The campaign hands the shrinker ``RunOutcome(**fingerprint)``
+    from the worker's result instead of re-running the spec."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_fingerprint_equals_in_process_execute(
+            self, tmp_path, jobs):
+        specs = {"violation": violating_genome(duration_us=5.0),
+                 "crash": hresp_crash_spec()}
+        runs = [CampaignRun(run_id, spec.scenario, "fuzz", spec)
+                for run_id, spec in specs.items()]
+        report = execute_campaign(runs, ExecutorConfig(
+            jobs=jobs, collect_coverage=True,
+            artefact_dir=str(tmp_path),
+            warm_start_dir=str(tmp_path / "warmstart")))
+        for run_id, spec in specs.items():
+            result = report.results[run_id]
+            _, fresh = execute(spec)
+            assert fresh.failing
+            assert RunOutcome(**result.fingerprint).fingerprint() \
+                == fresh.fingerprint()
+        # the executor appends the artefact path to the result's detail,
+        # never to the fingerprint the shrinker starts from
+        crashed = report.results["crash"]
+        assert crashed.outcome == "crashed"
+        assert "RunSpec written to" in crashed.detail
+        assert "RunSpec written to" not in crashed.fingerprint["detail"]
+
+    def test_campaign_shrink_skips_the_original_run(
+            self, tmp_path, monkeypatch):
+        genome = violating_genome(duration_us=5.0)
+        executed = count_shrink_executions(monkeypatch)
+        report = run_fuzz_campaign(str(tmp_path / "corpus"), quick_config(
+            budget=2, seed_specs=(genome,)))
+        (failure,) = report.failures
+        assert failure["shrunk"]
+        assert genome.key() not in executed
+        assert len(executed) == report.shrink_executions
 
 
 class TestCli:

@@ -1,5 +1,6 @@
 """Deterministic record/replay and the failure shrinker."""
 
+import importlib
 import json
 
 import pytest
@@ -19,6 +20,9 @@ from repro.replay import (
 )
 
 QUICK = dict(duration_us=5.0)
+
+#: The module (the package's ``shrink`` attribute is the function).
+shrink_module = importlib.import_module("repro.replay.shrink")
 
 
 def retry_spec(**overrides):
@@ -44,6 +48,28 @@ def padded_spec():
                                 start_ps=far, end_ps=far + 1000),
     ]
     return spec
+
+
+def count_shrink_executions(monkeypatch):
+    """The spec key of every run the shrinker executes, in order."""
+    executed = []
+
+    def counting(candidate, **kwargs):
+        executed.append(candidate.key())
+        return execute(candidate, **kwargs)
+
+    monkeypatch.setattr(shrink_module, "execute", counting)
+    return executed
+
+
+def hresp_crash_spec():
+    """A crashing run: a one-cycle glitch of HRESP to 7 makes the power
+    monitor process raise (a ``ProcessError``)."""
+    return campaign_spec("portable-audio-player", seed=3,
+                         duration_us=3.0).replace(
+        scenario_kwargs={"checker": False}, watchdog=False,
+        faults=[FaultEntry.signal_fault("glitch", "hresp", value=7,
+                                        cycles=1, start_ps=1_000_000)])
 
 
 class TestSpecSerde:
@@ -220,6 +246,42 @@ class TestShrinker:
         result = shrink(retry_spec(),
                         predicate=lambda o: o.outcome == "recovered")
         assert result.outcome.outcome == "recovered"
+
+
+class TestShrinkFromKnownOutcome:
+    """``shrink(spec, original=outcome)`` skips the first run of *spec*
+    and changes nothing else."""
+
+    @pytest.mark.parametrize("make_spec, signature", [
+        (padded_spec, ("rule", "retry-livelock", "advisory")),
+        (hresp_crash_spec, ("outcome", "crashed", "ProcessError")),
+    ], ids=["violation", "crash"])
+    def test_given_outcome_equals_reexecution_one_run_fewer(
+            self, monkeypatch, make_spec, signature):
+        spec = make_spec()
+        _, outcome = execute(spec)
+        assert failure_signature(outcome) == signature
+        calls = count_shrink_executions(monkeypatch)
+        fresh = shrink(spec)
+        fresh_calls, calls[:] = list(calls), []
+        reused = shrink(spec, original=outcome)
+        assert fresh_calls[0] == spec.key()
+        assert calls == fresh_calls[1:]
+        assert reused.spec.key() == fresh.spec.key()
+        assert reused.outcome.fingerprint() \
+            == fresh.outcome.fingerprint()
+        assert reused.original_outcome == fresh.original_outcome
+        assert reused.executions == fresh.executions
+        assert reused.steps == fresh.steps
+
+    def test_given_outcome_still_rejects_healthy_runs(self, monkeypatch):
+        healthy = campaign_spec("portable-audio-player", fault="none",
+                                **QUICK)
+        monkeypatch.setattr(shrink_module, "execute", None)
+        with pytest.raises(ValueError, match="not failing"):
+            shrink(healthy, original=RunOutcome(
+                outcome="completed", violations=0,
+                recovery_compliant=True))
 
 
 class TestCli:

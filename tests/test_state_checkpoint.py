@@ -17,7 +17,12 @@ from repro.cli import main
 from repro.kernel import StateError, us
 from repro.replay import campaign_spec, execute
 from repro.replay.verify import compare_streams, verify_digests
-from repro.state import CheckpointPlan, CheckpointStore
+from repro.state import (
+    CheckpointPlan,
+    CheckpointStore,
+    Snapshot,
+    StateFormatError,
+)
 from repro.workloads import build_paper_testbench, build_scenario
 
 SCENARIO = "portable-audio-player"
@@ -73,6 +78,52 @@ class TestSnapshotRestore:
         assert straight.digests["entries"][-1]["digest"] \
             == chunked.digests["entries"][-1]["digest"]
         assert straight.fingerprint() == chunked.fingerprint()
+
+
+class TestCheckpointFiles:
+    """Checkpoint files are compact JSON; indented ones, as older code
+    wrote them, still load and verify."""
+
+    @pytest.mark.parametrize("indented", [False, True],
+                             ids=["compact", "indented"])
+    def test_saved_checkpoint_restores_like_a_straight_run(
+            self, tmp_path, indented):
+        straight = build()
+        straight.run(us(4))
+        expected = straight.snapshot().digest
+
+        donor = build()
+        donor.run(us(2))
+        snap = donor.snapshot()
+        store = CheckpointStore(str(tmp_path / "ck"))
+        path = store.put(snap)
+        with open(path) as fh:
+            text = fh.read()
+        assert text == json.dumps(snap.to_dict(), sort_keys=True) + "\n"
+        if indented:
+            with open(path, "w") as fh:
+                json.dump(snap.to_dict(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+
+        loaded = store.latest()
+        assert loaded.digest == snap.digest
+        assert loaded.meta == snap.meta
+        resumed = build()
+        resumed.restore(loaded)
+        assert resumed.snapshot().digest == snap.digest
+        resumed.run(us(2))
+        assert resumed.snapshot().digest == expected
+
+    def test_indented_checkpoint_is_digest_verified(self, tmp_path):
+        donor = build()
+        donor.run(us(1))
+        data = donor.snapshot().to_dict()
+        data["state"]["kernel"]["now"] += 1  # bit-rot after hashing
+        path = str(tmp_path / "ckpt.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh, indent=2, sort_keys=True)
+        with pytest.raises(StateFormatError, match="digest mismatch"):
+            Snapshot.load(path)
 
 
 class TestStoreResume:
