@@ -549,7 +549,7 @@ def build_parser():
         "--engine", choices=("interpreted", "compiled"),
         default="interpreted",
         help="kernel engine for cycle-tier runs: the delta-cycle "
-             "interpreter or the levelized compiled engine "
+             "interpreter or the compiled engine "
              "(repro.compiled; bit-identical, faster)")
     faults_parser.add_argument(
         "--record", metavar="PATH",

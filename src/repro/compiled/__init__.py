@@ -5,17 +5,17 @@ straight-line edge code at elaboration time:
 
 1. :func:`~repro.compiled.graph.extract_graph` reads the static
    sensitivity/write metadata every process declared to the kernel and
-   classifies processes into clock domains (sequential) and a
-   combinational network;
-2. :func:`~repro.compiled.levelize.levelize` topologically orders the
+   classifies processes into the clock's sequential processes and a
    combinational network, raising a loud
-   :class:`~repro.compiled.errors.CompileError` — with the named cycle
-   path — when the design cannot be statically scheduled;
-3. :mod:`~repro.compiled.codegen` emits one flat rising/falling
-   function per clock domain; and
-4. :class:`~repro.compiled.engine.CompiledEngine` installs itself as
+   :class:`~repro.compiled.errors.CompileError` for anything it cannot
+   type — including a design with more than one clock, which keeps
+   running on the interpreted kernel;
+2. :mod:`~repro.compiled.codegen` emits one flat rising and one flat
+   falling edge function for the clock; and
+3. :class:`~repro.compiled.engine.CompiledEngine` installs itself as
    the simulator's pluggable scheduler, executing clock edges
-   arithmetically (no heapq, no generator resume) while staying
+   arithmetically (no heapq, no generator resume) and settling the
+   combinational cascade in the kernel's own delta loop, while staying
    bit-identical to the interpreted kernel — checkpoints, replay
    digests and energy ledgers match byte for byte.  Anything it cannot
    prove safe falls back to the interpreted loop, loudly via
@@ -38,7 +38,6 @@ Typical use::
 
 from .errors import CompileError
 from .graph import DesignGraph, extract_graph
-from .levelize import levelize
 
 __all__ = [
     "CompileError",
@@ -47,7 +46,6 @@ __all__ = [
     "compile_simulator",
     "compile_system",
     "extract_graph",
-    "levelize",
 ]
 
 
@@ -60,7 +58,8 @@ def __getattr__(name):
 
 
 def compile_simulator(sim, clocks, install=True):
-    """Compile *sim* (with its *clocks*) and install the engine.
+    """Compile *sim* (with its one clock in *clocks*) and install the
+    engine.
 
     Pass ``install=False`` to get an un-installed engine (e.g. for
     inspection or deferred attachment).

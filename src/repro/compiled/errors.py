@@ -1,8 +1,8 @@
 """Errors raised by the static compiler.
 
 Compilation failures are *loud by design*: a model that cannot be
-compiled (dynamic sensitivity, an undeclared combinational write set, a
-combinational cycle) raises :class:`CompileError` naming the offending
+compiled (dynamic sensitivity, an undeclared combinational write set,
+more than one clock) raises :class:`CompileError` naming the offending
 processes, so the modeller either fixes the declaration or explicitly
 opts into the interpreted delta-cycle kernel.
 """
@@ -21,13 +21,8 @@ class CompileError(SimulationError):
         Human-readable description of the violation.
     process_names:
         Names of the processes involved (for programmatic triage).
-    cycle_path:
-        For combinational cycles: the alternating
-        ``process -> signal -> process -> ...`` chain, ending back at
-        the first process.
     """
 
-    def __init__(self, message, process_names=(), cycle_path=()):
+    def __init__(self, message, process_names=()):
         super().__init__(message)
         self.process_names = tuple(process_names)
-        self.cycle_path = tuple(cycle_path)

@@ -5,18 +5,22 @@ combinational processes, its write set) to the kernel.  This module
 reads that metadata back from an instantiated design and classifies
 every process:
 
-* **driver** — the generator thread of a :class:`~repro.kernel.clock.Clock`
-  (the only thread kind the compiler accepts; any other thread has
-  dynamic sensitivity and raises :class:`~repro.compiled.errors.CompileError`);
+* **driver** — the generator thread of the design's one
+  :class:`~repro.kernel.clock.Clock` (the only thread kind the
+  compiler accepts; any other thread has dynamic sensitivity and
+  raises :class:`~repro.compiled.errors.CompileError`);
 * **seq** — a method process sensitive to exactly one clock edge
   (posedge or negedge), i.e. a register/FSM update;
 * **comb** — a method process sensitive to signal value changes only.
   Combinational processes must declare their write set (``writes=``)
-  so they can be levelized.
+  so the compiler can prove that none of them drives the clock.
 
-The result is a :class:`DesignGraph`: per-clock domains with the seq
+The result is a :class:`DesignGraph`: the clock domain with its seq
 processes in their firing order, plus the combinational processes with
-their read/write signal sets.
+their read/write signal sets.  Combinational processes run in the
+kernel's delta loop in the order they wake, as on the interpreted
+kernel, so a combinational loop settles (or trips the delta-cycle
+limit) exactly as it does there.
 """
 
 from __future__ import annotations
@@ -28,18 +32,14 @@ from .errors import CompileError
 class ProcessInfo:
     """Classification record for one method process."""
 
-    __slots__ = ("process", "kind", "clock", "edge", "reads", "writes",
-                 "level")
+    __slots__ = ("process", "kind", "edge", "reads", "writes")
 
-    def __init__(self, process, kind, clock=None, edge=None, reads=(),
-                 writes=()):
+    def __init__(self, process, kind, edge=None, reads=(), writes=()):
         self.process = process
         self.kind = kind          # "seq" | "comb"
-        self.clock = clock        # Clock (seq only)
         self.edge = edge          # "pos" | "neg" (seq only)
         self.reads = tuple(reads)     # signals (comb only)
         self.writes = tuple(writes)   # signals (comb only)
-        self.level = None         # assigned by levelize()
 
     @property
     def name(self):
@@ -50,16 +50,16 @@ class ProcessInfo:
 
 
 class ClockDomain:
-    """One clock plus the sequential processes it drives."""
+    """The clock plus the sequential processes it drives."""
 
     __slots__ = ("clock", "driver", "seq_pos", "seq_neg",
                  "pos_waiters", "neg_waiters", "changed_waiters")
 
-    def __init__(self, clock, driver):
+    def __init__(self, clock):
         self.clock = clock
-        self.driver = driver
-        #: Seq processes fired on the rising / falling edge, in the
-        #: event's firing order (= registration order).
+        self.driver = clock._process
+        #: Seq processes fired on the rising / falling edge; the
+        #: rising ones in the event's firing order.
         self.seq_pos = []
         self.seq_neg = []
         #: Waiter tuples captured at compile time; the engine
@@ -82,22 +82,15 @@ class ClockDomain:
 class DesignGraph:
     """The extracted static structure of an elaborated design."""
 
-    __slots__ = ("sim", "domains", "comb", "infos")
+    __slots__ = ("sim", "domain", "comb")
 
-    def __init__(self, sim, domains, comb, infos):
+    def __init__(self, sim, domain, comb):
         self.sim = sim
-        self.domains = list(domains)   # [ClockDomain], clock order
+        self.domain = domain           # ClockDomain
         self.comb = list(comb)         # [ProcessInfo] kind == "comb"
-        self.infos = dict(infos)       # process -> ProcessInfo
-
-    def domain_of(self, clock):
-        for domain in self.domains:
-            if domain.clock is clock:
-                return domain
-        raise KeyError(clock)
 
 
-def _edge_index(sim, clocks):
+def _edge_index(sim):
     """Map event id -> ("changed"|"pos"|"neg", signal) for all signals."""
     index = {}
     for signal in sim._signals:
@@ -113,31 +106,29 @@ def _edge_index(sim, clocks):
 def extract_graph(sim, clocks):
     """Classify every process of *sim* into a :class:`DesignGraph`.
 
-    Raises :class:`CompileError` on anything the compiler cannot type:
-    non-clock threads (dynamic sensitivity), bare-event sensitivity,
-    edge sensitivity on a non-clock signal, mixed edge/level
-    sensitivity, undeclared combinational write sets, or a customized
-    ``run_fn``.
+    *clocks* must hold exactly one clock: the engine emits one clock
+    edge, and designs with several clocks run on the interpreted
+    kernel.  Raises :class:`CompileError` on anything the compiler
+    cannot type: another clock count, non-clock threads (dynamic
+    sensitivity), bare-event sensitivity, edge sensitivity on a
+    non-clock signal, mixed edge/level sensitivity, or undeclared
+    combinational write sets.
     """
     clocks = list(clocks)
-    if not clocks:
-        raise CompileError("no clocks supplied; compilation needs at "
-                           "least one Clock to anchor its domains")
-    drivers = {}
-    clock_by_signal = {}
-    for clock in clocks:
-        drivers[clock._process] = clock
-        clock_by_signal[clock.signal] = clock
-
-    event_index = _edge_index(sim, clocks)
-    domains = {clock: ClockDomain(clock, clock._process)
-               for clock in clocks}
+    if len(clocks) != 1:
+        raise CompileError(
+            "the compiled engine runs designs with exactly one clock, "
+            "got %d (%s); run this design on the interpreted kernel"
+            % (len(clocks), ", ".join(clock.name for clock in clocks)
+               or "none"))
+    domain = ClockDomain(clocks[0])
+    clock_signal = domain.clock.signal
+    event_index = _edge_index(sim)
     comb = []
-    infos = {}
 
     for process in sim._processes:
         if isinstance(process, ThreadProcess):
-            if process in drivers:
+            if process is domain.driver:
                 continue
             raise CompileError(
                 "thread process %r has dynamic sensitivity (only Clock "
@@ -150,14 +141,8 @@ def extract_graph(sim, clocks):
                 "unknown process kind %r for %r"
                 % (type(process).__name__, process.name),
                 process_names=[process.name])
-        if process.run_fn.__func__ is not MethodProcess._run:
-            raise CompileError(
-                "process %r has a customized run_fn (wrapped by a "
-                "tool?); the compiled engine only dispatches plain "
-                "method processes" % process.name,
-                process_names=[process.name])
 
-        edges = []      # (edge_kind, clock)
+        edges = []      # edge kinds on the clock signal
         reads = []      # signals (level sensitivity)
         for event in process.sensitivity:
             entry = event_index.get(id(event))
@@ -171,14 +156,13 @@ def extract_graph(sim, clocks):
             if kind == "changed":
                 reads.append(signal)
                 continue
-            clock = clock_by_signal.get(signal)
-            if clock is None:
+            if signal is not clock_signal:
                 raise CompileError(
                     "process %r is edge-sensitive to %r, which is not "
                     "a registered clock signal" %
                     (process.name, signal.name),
                     process_names=[process.name])
-            edges.append((kind, clock))
+            edges.append(kind)
 
         if edges and reads:
             raise CompileError(
@@ -189,46 +173,36 @@ def extract_graph(sim, clocks):
         if len(edges) > 1:
             raise CompileError(
                 "process %r is sensitive to %d clock edges; compiled "
-                "sequential processes belong to exactly one domain"
+                "sequential processes fire on exactly one"
                 % (process.name, len(edges)),
                 process_names=[process.name])
 
         if edges:
-            edge_kind, clock = edges[0]
-            info = ProcessInfo(process, "seq", clock=clock,
-                               edge=edge_kind)
-            domain = domains[clock]
-            (domain.seq_pos if edge_kind == "pos"
+            info = ProcessInfo(process, "seq", edge=edges[0])
+            (domain.seq_pos if edges[0] == "pos"
              else domain.seq_neg).append(info)
         else:
             if process.writes is None:
                 raise CompileError(
                     "combinational process %r does not declare its "
                     "write set; pass writes=[...] at registration so "
-                    "it can be levelized" % process.name,
+                    "the compiler can prove it leaves the clock alone"
+                    % process.name,
                     process_names=[process.name])
-            info = ProcessInfo(process, "comb", reads=reads,
-                               writes=process.writes)
-            comb.append(info)
-        infos[process] = info
+            comb.append(ProcessInfo(process, "comb", reads=reads,
+                                    writes=process.writes))
 
-    # Order each domain's seq list by the actual event firing order and
-    # capture the waiter tuples for run-time re-validation.
-    for clock in clocks:
-        domain = domains[clock]
-        signal = clock.signal
-        posedge, negedge = signal.edge_events()
-        domain.changed_waiters = signal.changed.static_waiters
-        if posedge is not None:
-            domain.pos_waiters = posedge.static_waiters
-            by_process = {info.process: info for info in domain.seq_pos}
-            domain.seq_pos = [by_process[p] for p in domain.pos_waiters
-                              if p in by_process]
-        if negedge is not None:
-            domain.neg_waiters = negedge.static_waiters
-            by_process = {info.process: info for info in domain.seq_neg}
-            domain.seq_neg = [by_process[p] for p in domain.neg_waiters
-                              if p in by_process]
+    # Order the rising-edge processes by the actual event firing order
+    # (the emitted edge calls them in it) and capture the waiter
+    # tuples for run-time re-validation.
+    posedge, negedge = clock_signal.edge_events()
+    domain.changed_waiters = clock_signal.changed.static_waiters
+    if posedge is not None:
+        domain.pos_waiters = posedge.static_waiters
+        by_process = {info.process: info for info in domain.seq_pos}
+        domain.seq_pos = [by_process[p] for p in domain.pos_waiters
+                          if p in by_process]
+    if negedge is not None:
+        domain.neg_waiters = negedge.static_waiters
 
-    return DesignGraph(sim, [domains[clock] for clock in clocks],
-                       comb, infos)
+    return DesignGraph(sim, domain, comb)

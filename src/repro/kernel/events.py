@@ -98,19 +98,17 @@ class Event:
 class Process:
     """Common bookkeeping shared by method and thread processes.
 
-    ``run_fn`` is the callable the scheduler dispatches; it defaults to
-    the process's own ``_run``.  Time activations with a kernel
-    observer (:meth:`Simulator.attach_observer`) rather than by
-    replacing it: the compiled engine declines a replaced ``run_fn``.
+    The scheduler dispatches a process by calling its ``_run``; time
+    activations with a kernel observer
+    (:meth:`Simulator.attach_observer`).
     """
 
-    __slots__ = ("sim", "name", "terminated", "run_fn")
+    __slots__ = ("sim", "name", "terminated")
 
     def __init__(self, sim, name):
         self.sim = sim
         self.name = name
         self.terminated = False
-        self.run_fn = self._run
 
     def _run(self):  # pragma: no cover - overridden
         raise NotImplementedError

@@ -10,10 +10,9 @@ found once per consumer by :attr:`repro.kernel.Simulator.batches`,
 and one arming point:
 :meth:`repro.kernel.Simulator.run` points the consumer's process at the
 recorder for the whole call, whichever loop runs it (the interpreted
-loop, the compiled engine's emitted edges, generic edges and
-multi-domain loop, or a hand-off between them), and restores the live
-method and flushes on every exit.  The recorder flushes itself at the
-row cap.
+loop, the compiled engine's emitted and generic edges, or a hand-off
+between them), and restores the live method and flushes on every
+exit.  The recorder flushes itself at the row cap.
 
 :class:`RowBatch` owns everything that is the same for every consumer:
 

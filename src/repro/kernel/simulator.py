@@ -133,8 +133,8 @@ class Simulator:
         simulation start so outputs reach a consistent initial state.
         ``writes`` optionally declares the set of signals the process
         may write — metadata the kernel ignores but the
-        :mod:`repro.compiled` static analyser requires to levelize
-        combinational processes.
+        :mod:`repro.compiled` static analyser requires of combinational
+        processes, to prove that none of them drives a clock.
         """
         process = MethodProcess(
             self,
@@ -474,7 +474,6 @@ class Simulator:
             raise SimulationError("cannot close a running simulator")
         owners = []
         for process in self._processes:
-            process.run_fn = None
             if isinstance(process, MethodProcess):
                 owner = getattr(process.fn, "__self__", None)
                 if isinstance(owner, Module):
@@ -585,8 +584,7 @@ class Simulator:
         timed = self._timed
         monotonic = _time.monotonic
         while True:
-            settle()
-            if self._stop_requested:
+            if settle():
                 break
             if wall_start is not None:
                 elapsed = monotonic() - wall_start
@@ -608,15 +606,27 @@ class Simulator:
 
     # -- scheduler internals ---------------------------------------------
 
-    def _settle_deltas(self):
-        """Run evaluate/update cycles until no process is runnable.
+    def _settle_deltas(self, deltas=0, comb_ids=None):
+        """Run evaluate/update cycles until no process is runnable;
+        returns True when :meth:`stop` was requested.
+
+        This is the only delta loop; the compiled engine's clock edges
+        settle through it too.  An edge evaluates its first rounds
+        itself and passes their number as *deltas*: their update phase
+        runs first, and the delta-cycle limit counts them.  It also
+        passes the ids of the design's combinational processes as
+        *comb_ids*; such a process woken twice in one round is
+        evaluated once (it reads committed values and stages writes,
+        so a second evaluation stages the same values), and every
+        process is called through its ``fn``.  With no round pending
+        the loop evaluates first, so writes staged outside any process
+        still take a delta of their own.
 
         The runnable list and the update queue each ping-pong between
         two reused list objects (no per-delta list allocation), and the
         update phase is inlined so the per-delta cost is a handful of
         local operations plus the process bodies themselves.
         """
-        deltas = 0
         observer = self._observer
         max_deltas = self.max_delta_cycles
         spare = self._spare_runnable
@@ -625,41 +635,66 @@ class Simulator:
         update_spare = self._spare_updates
         if update_spare is self._update_queue:
             update_spare = []
-        while self._runnable or self._update_queue or self._delta_events:
-            deltas += 1
-            self.delta_count += 1
-            if deltas > max_deltas:
-                suspects = sorted({process.name
-                                   for process in self._runnable
-                                   if not process.terminated})
-                raise DeltaCycleLimitError(
-                    "exceeded %d delta cycles at %s; probable zero-delay "
-                    "combinational loop"
-                    % (max_deltas, format_time(self.now)),
-                    process_names=suspects,
-                )
-            runnable = self._runnable
-            self._runnable = next_runnable = spare
-            for process in runnable:
-                if process.terminated:
-                    continue
-                try:
-                    if observer is None:
-                        process.run_fn()
-                    else:
-                        started = _time.perf_counter()
-                        process.run_fn()
-                        observer.on_process(
-                            process, self.now,
-                            _time.perf_counter() - started)
-                except (SimulationError, KeyboardInterrupt):
-                    raise
-                except Exception as exc:
-                    raise ProcessError(process.name, exc) from exc
-            runnable.clear()
-            spare = runnable
-            # Update phase, inlined from _update_phase: commit staged
-            # signals, then fire delta-notified events.
+        next_runnable = self._runnable
+        evaluate = not deltas
+        while True:
+            if evaluate:
+                if not (self._runnable or self._update_queue
+                        or self._delta_events):
+                    break
+                deltas += 1
+                self.delta_count += 1
+                if deltas > max_deltas:
+                    suspects = sorted({process.name
+                                       for process in self._runnable
+                                       if not process.terminated})
+                    raise DeltaCycleLimitError(
+                        "exceeded %d delta cycles at %s; probable "
+                        "zero-delay combinational loop"
+                        % (max_deltas, format_time(self.now)),
+                        process_names=suspects,
+                    )
+                runnable = self._runnable
+                self._runnable = next_runnable = spare
+                if comb_ids is None:
+                    for process in runnable:
+                        if process.terminated:
+                            continue
+                        try:
+                            if observer is None:
+                                process._run()
+                            else:
+                                started = _time.perf_counter()
+                                process._run()
+                                observer.on_process(
+                                    process, self.now,
+                                    _time.perf_counter() - started)
+                        except (SimulationError, KeyboardInterrupt):
+                            raise
+                        except Exception as exc:
+                            raise ProcessError(process.name, exc) from exc
+                else:
+                    seen = set()
+                    process = None
+                    try:
+                        for process in runnable:
+                            pid = id(process)
+                            if pid in comb_ids:
+                                if pid in seen:
+                                    continue
+                                seen.add(pid)
+                                process.fn()
+                            elif not process.terminated:
+                                process.fn()
+                    except (SimulationError, KeyboardInterrupt):
+                        raise
+                    except Exception as exc:
+                        raise ProcessError(process.name, exc) from exc
+                runnable.clear()
+                spare = runnable
+            evaluate = True
+            # Update phase: commit staged signals, then fire
+            # delta-notified events.
             updates = self._update_queue
             if updates:
                 self._update_queue = update_spare
@@ -677,18 +712,7 @@ class Simulator:
         self._spare_updates = update_spare
         if observer is not None and deltas:
             observer.on_settle(self.now, deltas)
-
-    def _update_phase(self):
-        """Commit staged signals and fire delta events."""
-        next_runnable = self._runnable
-        if self._update_queue:
-            updates, self._update_queue = self._update_queue, []
-            for signal in updates:
-                signal._commit(next_runnable)
-        if self._delta_events:
-            fired, self._delta_events = self._delta_events, []
-            for event in fired:
-                event._fire(next_runnable)
+        return self._stop_requested
 
     def _dispatch_timed(self, at_time):
         """Pop every timed entry scheduled for *at_time*."""

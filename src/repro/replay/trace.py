@@ -291,6 +291,58 @@ class RunOutcome:
         )
 
 
+class Containment:
+    """Contains one run's failure into its outcome, on either tier.
+
+    Use as ``with Containment() as run:`` around a run's build and
+    execution, setting ``run.system`` as soon as the system exists;
+    afterwards :meth:`outcome` fingerprints it.  Entering resets the
+    global transaction id counter, so runs executed in the same
+    process stay bit-identical.  A :class:`WallClockDeadlineError`
+    classifies the run ``timeout``; any other exception is kept with
+    its traceback and classifies it ``crashed``.
+    """
+
+    def __init__(self):
+        self.system = None
+        self.error_text = None
+        self.traceback_text = None
+        self.timed_out = False
+
+    def __enter__(self):
+        reset_txn_ids()
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if kind is None or not issubclass(kind, Exception):
+            return False
+        # contain — the fingerprint is the product
+        self.error_text = "%s: %s" % (kind.__name__, exc)
+        if issubclass(kind, WallClockDeadlineError):
+            self.timed_out = True
+        else:
+            self.traceback_text = "".join(
+                _traceback.format_exception(kind, exc, tb))
+        return True
+
+    def outcome(self):
+        """The run's :class:`RunOutcome`, traceback attached."""
+        if self.system is None:
+            # Elaboration itself crashed: no system to fingerprint,
+            # but the failure must still be contained and replayable.
+            outcome = RunOutcome(
+                outcome="crashed", completed=0, failed=0, aborted=0,
+                watchdog_events=0, recoveries=0, violations=0,
+                rules_tripped=[], recovery_compliant=True,
+                total_energy_j=0.0, overhead_energy_j=0.0,
+                detail=self.error_text or "")
+        else:
+            outcome = RunOutcome.of(self.system, self.error_text,
+                                    timed_out=self.timed_out)
+        outcome.traceback_text = self.traceback_text
+        return outcome
+
+
 #: Don't produce a shared warm-start checkpoint below this prefix
 #: length — restore overhead would rival the simulation it saves.
 #: (Defined here and re-exported by :mod:`repro.fuzz.warmstart`: the
@@ -379,19 +431,14 @@ def execute(spec, wall_clock_budget=None, instrument=None,
         # unchanged.
         from ..tlm import execute_tlm
         return execute_tlm(spec, wall_clock_budget=wall_clock_budget)
-    system = None
-    error_text = None
-    error_traceback = None
-    timed_out = False
     digest_entries = []
-    reset_txn_ids()
-    try:
+    with Containment() as run:
         overrides = {}
         for fault in spec.faults:
             if fault.kind == "behavioural":
                 overrides[fault.slave] = fault_slave_factory(
                     fault.mode, fault.trigger_after)
-        system = build_scenario(
+        system = run.system = build_scenario(
             spec.scenario, seed=spec.seed,
             retry_limit=spec.retry_limit,
             retry_backoff=spec.retry_backoff,
@@ -429,7 +476,7 @@ def execute(spec, wall_clock_budget=None, instrument=None,
             # bit-exactly (declining back to the interpreted loop when
             # a run uses features it does not model), so the outcome
             # fingerprint and digest stream are engine-independent.
-            # A ``CompileError`` is contained below as ``crashed``.
+            # A ``CompileError`` is contained as ``crashed``.
             from ..compiled import compile_system
             compile_system(system)
         if checkpoint is None:
@@ -450,25 +497,7 @@ def execute(spec, wall_clock_budget=None, instrument=None,
                     on_interval=lambda _snap, entry:
                     digest_entries.append(entry),
                 )
-    except WallClockDeadlineError as exc:
-        error_text = "%s: %s" % (type(exc).__name__, exc)
-        timed_out = True
-    except Exception as exc:  # contain — the fingerprint is the product
-        error_text = "%s: %s" % (type(exc).__name__, exc)
-        error_traceback = _traceback.format_exc()
-    if system is None:
-        # Elaboration itself crashed: no system to fingerprint, but
-        # the failure must still be contained and replayable.
-        outcome = RunOutcome(
-            outcome="crashed", completed=0, failed=0, aborted=0,
-            watchdog_events=0, recoveries=0, violations=0,
-            rules_tripped=[], recovery_compliant=True,
-            total_energy_j=0.0, overhead_energy_j=0.0,
-            detail=error_text or "")
-    else:
-        outcome = RunOutcome.of(system, error_text,
-                                timed_out=timed_out)
-    outcome.traceback_text = error_traceback
+    outcome = run.outcome()
     if checkpoint is not None:
         if checkpoint.store is not None:
             # The store's stream is authoritative: on a resumed run it
@@ -480,7 +509,7 @@ def execute(spec, wall_clock_budget=None, instrument=None,
             "interval_cycles": checkpoint.interval_cycles,
             "entries": entries,
         }
-    return system, outcome
+    return run.system, outcome
 
 
 def close_system(system):

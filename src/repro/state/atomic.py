@@ -24,12 +24,19 @@ def atomic_write_json(path, data, indent=2, sort_keys=True):
     The text is built before the temporary file exists, with
     ``json.dumps``: it runs the C encoder when *indent* is None, where
     ``json.dump`` never does.  A serialization failure therefore
-    leaves nothing behind.  The temporary file lives in the
-    destination directory (``rename`` across filesystems is not
-    atomic), is fsynced before the rename, and is removed on any
-    write failure.
+    leaves nothing behind.
     """
-    text = json.dumps(data, indent=indent, sort_keys=sort_keys) + "\n"
+    return atomic_write_text(
+        path, json.dumps(data, indent=indent, sort_keys=sort_keys) + "\n")
+
+
+def atomic_write_text(path, text):
+    """Write *text* to *path* atomically.
+
+    The temporary file lives in the destination directory (``rename``
+    across filesystems is not atomic), is fsynced before the rename,
+    and is removed on any write failure.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(

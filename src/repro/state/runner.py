@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import time
 
-from .snapshot import Snapshot
-
 
 class CheckpointPlan:
     """How (and how often) a run is checkpointed.
@@ -50,12 +48,7 @@ class CheckpointPlan:
 
 def _capture(system, plan, records, on_interval):
     snapshot = system.snapshot()
-    entry = {
-        "cycle": snapshot.cycle,
-        "time_ps": snapshot.time_ps,
-        "digest": snapshot.digest,
-        "sections": snapshot.section_digests(),
-    }
+    entry = snapshot.stream_entry()
     records.append(entry)
     if plan.store is not None:
         plan.store.put(snapshot)
@@ -134,10 +127,5 @@ def resume_latest(system, store):
         # write and its stream append (or tore the append): the resumed
         # run continues *past* this cycle and would never re-record it,
         # so reconstruct the missing entry from the snapshot itself.
-        store.append_stream_entry({
-            "cycle": snapshot.cycle,
-            "time_ps": snapshot.time_ps,
-            "digest": snapshot.digest,
-            "sections": snapshot.section_digests(),
-        })
+        store.append_stream_entry(snapshot.stream_entry())
     return snapshot

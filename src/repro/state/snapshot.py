@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .atomic import atomic_write_json
+from .atomic import atomic_write_text
 
 #: Snapshot format marker (major version; see module docstring).
 FORMAT = "repro-state/1"
@@ -50,7 +50,18 @@ def canonical_json(obj):
 
 def digest_of(obj):
     """SHA-256 hex digest of *obj*'s canonical JSON."""
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+    return _sha256(canonical_json(obj))
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _join(texts):
+    """Canonical JSON of a dict from its string keys and the canonical
+    texts of its values."""
+    return "{%s}" % ",".join(json.dumps(key) + ":" + text
+                             for key, text in sorted(texts.items()))
 
 
 class Snapshot:
@@ -64,20 +75,50 @@ class Snapshot:
         Labels *about* the capture (cycle count, sim time, scenario /
         spec identity).  Meta is stored but **excluded from the
         digest** — the digest covers simulation state only.
+
+    The tree is encoded once (:meth:`_encode`): the digest, every
+    section digest and the saved file all come from that one
+    canonical text.
     """
 
-    __slots__ = ("tree", "meta", "_digest")
+    __slots__ = ("tree", "meta", "_digest", "_text", "_sections")
 
     def __init__(self, tree, meta=None):
         self.tree = tree
         self.meta = dict(meta or {})
-        self._digest = None
+        self._digest = self._text = self._sections = None
+
+    def _encode(self):
+        """Encode each section of the tree once, hash it, and splice
+        the section texts into the tree's canonical text."""
+        tree = self.tree
+        kernel = {key: canonical_json(value)
+                  for key, value in tree.get("kernel", {}).items()}
+        components = {path: canonical_json(state) for path, state
+                      in tree.get("components", {}).items()}
+        sections = {
+            "kernel": _sha256(_join({key: text
+                                     for key, text in kernel.items()
+                                     if key != "signals"})),
+            "kernel.signals": _sha256(kernel.get("signals", "{}")),
+        }
+        for path, text in components.items():
+            sections["components." + path] = _sha256(text)
+        top = {key: canonical_json(value) for key, value in tree.items()
+               if key not in ("kernel", "components")}
+        if "kernel" in tree:
+            top["kernel"] = _join(kernel)
+        if "components" in tree:
+            top["components"] = _join(components)
+        self._text = _join(top)
+        self._sections = sections
+        self._digest = _sha256(self._text)
 
     @property
     def digest(self):
         """Canonical SHA-256 state digest (cached)."""
         if self._digest is None:
-            self._digest = digest_of(self.tree)
+            self._encode()
         return self._digest
 
     @property
@@ -95,14 +136,18 @@ class Snapshot:
         — fine enough that a divergence report can name the misbehaving
         subsystem without storing whole trees per interval.
         """
-        sections = {}
-        kernel = self.tree.get("kernel", {})
-        sections["kernel"] = digest_of(
-            {k: v for k, v in kernel.items() if k != "signals"})
-        sections["kernel.signals"] = digest_of(kernel.get("signals", {}))
-        for path, state in self.tree.get("components", {}).items():
-            sections["components." + path] = digest_of(state)
-        return sections
+        if self._digest is None:
+            self._encode()
+        return dict(self._sections)
+
+    def stream_entry(self):
+        """This snapshot's record in a digest stream."""
+        return {
+            "cycle": self.cycle,
+            "time_ps": self.time_ps,
+            "digest": self.digest,
+            "sections": self.section_digests(),
+        }
 
     def to_dict(self):
         return {
@@ -130,14 +175,21 @@ class Snapshot:
         return snapshot
 
     def save(self, path):
-        """Write the snapshot atomically as compact JSON; returns
-        *path*.
+        """Write the snapshot atomically as compact canonical JSON;
+        returns *path*.
 
         A snapshot file is machine state, verified by its digest on
-        load, so it skips the indent (which would force the pure-Python
-        encoder).  Indented snapshot files load the same.
+        load, so it skips the indent, and its ``state`` is the text
+        the digest was computed over.  Indented snapshot files load
+        the same.
         """
-        return atomic_write_json(path, self.to_dict(), indent=None)
+        digest = self.digest      # encodes the tree, once
+        return atomic_write_text(path, _join({
+            "digest": json.dumps(digest),
+            "format": json.dumps(FORMAT),
+            "meta": canonical_json(self.meta),
+            "state": self._text,
+        }) + "\n")
 
     @classmethod
     def load(cls, path, verify=True):

@@ -49,12 +49,7 @@ class CheckpointStore:
         path = os.path.join(self.root, name)
         snapshot.save(path)
         if record_stream:
-            self.append_stream_entry({
-                "cycle": snapshot.cycle,
-                "time_ps": snapshot.time_ps,
-                "digest": snapshot.digest,
-                "sections": snapshot.section_digests(),
-            })
+            self.append_stream_entry(snapshot.stream_entry())
         self._prune()
         return path
 

@@ -13,10 +13,7 @@ workflow and the error-bound contract.
 
 from __future__ import annotations
 
-import traceback as _traceback
-
-from ..amba.transactions import reset_txn_ids
-from ..kernel import WallClockDeadlineError, us
+from ..kernel import us
 from ..workloads import plan_scenario
 from .bus import TlmArbiter, TlmDecoder
 from .calibrate import (
@@ -68,14 +65,9 @@ def execute_tlm(spec, wall_clock_budget=None, table=None):
     re-execution *is* the recovery strategy — and signal-level faults
     are rejected as ``crashed`` outcomes with a clear message.
     """
-    from ..replay.trace import RunOutcome
+    from ..replay.trace import Containment
 
-    system = None
-    error_text = None
-    error_traceback = None
-    timed_out = False
-    reset_txn_ids()
-    try:
+    with Containment() as run:
         for fault in spec.faults:
             if fault.kind != "behavioural":
                 raise TlmFidelityError(
@@ -91,7 +83,7 @@ def execute_tlm(spec, wall_clock_budget=None, table=None):
             faults[fault.slave] = fault
         plan = plan_scenario(spec.scenario, seed=spec.seed,
                              **spec.scenario_kwargs)
-        system = TlmSystem(
+        run.system = TlmSystem(
             plan, table or load_default_table(),
             scenario=spec.scenario, faults=faults,
             retry_limit=spec.retry_limit,
@@ -99,23 +91,6 @@ def execute_tlm(spec, wall_clock_budget=None, table=None):
             watchdog=spec.watchdog,
             watchdog_kwargs=dict(spec.watchdog_kwargs),
         )
-        system.run(us(spec.duration_us),
-                   wall_clock_budget=wall_clock_budget)
-    except WallClockDeadlineError as exc:
-        error_text = "%s: %s" % (type(exc).__name__, exc)
-        timed_out = True
-    except Exception as exc:  # contain — the fingerprint is the product
-        error_text = "%s: %s" % (type(exc).__name__, exc)
-        error_traceback = _traceback.format_exc()
-    if system is None:
-        outcome = RunOutcome(
-            outcome="crashed", completed=0, failed=0, aborted=0,
-            watchdog_events=0, recoveries=0, violations=0,
-            rules_tripped=[], recovery_compliant=True,
-            total_energy_j=0.0, overhead_energy_j=0.0,
-            detail=error_text or "")
-    else:
-        outcome = RunOutcome.of(system, error_text,
-                                timed_out=timed_out)
-    outcome.traceback_text = error_traceback
-    return system, outcome
+        run.system.run(us(spec.duration_us),
+                       wall_clock_budget=wall_clock_budget)
+    return run.system, run.outcome()

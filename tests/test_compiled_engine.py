@@ -2,21 +2,25 @@
 
 Covers graph extraction and its loud rejections (dynamic sensitivity,
 undeclared write sets, mixed sensitivity, clock-writing combinational
-processes), combinational-cycle detection with the named cycle path,
-multi-clock domain partitioning, and the engine's run-time decline /
-fall-back paths — every one of which must leave results bit-identical
-to the interpreted kernel.
+processes, more than one clock), the kernel delta loop both engines
+share (combinational loops that settle or trip the delta-cycle limit,
+writes staged outside any process), and the engine's run-time
+decline / fall-back paths — every one of which must leave results
+bit-identical to the interpreted kernel.
 """
 
 import pytest
 
-from repro.compiled import (
-    CompileError,
-    compile_simulator,
-    extract_graph,
-    levelize,
+from repro.compiled import CompileError, compile_simulator, extract_graph
+from repro.kernel import (
+    Clock,
+    DeltaCycleLimitError,
+    MHz,
+    Signal,
+    Simulator,
+    ns,
+    us,
 )
-from repro.kernel import Clock, MHz, Signal, Simulator, ns, us
 
 
 def _counter_design():
@@ -37,7 +41,8 @@ class TestGraphExtraction:
     def test_classifies_seq_and_comb(self):
         sim, clk, count, decoded = _counter_design()
         graph = extract_graph(sim, [clk])
-        domain = graph.domain_of(clk)
+        domain = graph.domain
+        assert domain.clock is clk
         assert [info.name for info in domain.seq_pos] == ["tick"]
         assert [info.name for info in graph.comb] == ["decode"]
         assert graph.comb[0].reads == (count,)
@@ -95,100 +100,133 @@ class TestGraphExtraction:
             compile_simulator(sim, [clk], install=False)
 
 
-class TestLevelize:
-    def test_orders_cascade(self):
-        sim, clk, count, decoded = _counter_design()
-        downstream = Signal(sim, "downstream")
-        sim.add_method(lambda: downstream.write(decoded.value),
-                       [decoded], name="stage2", writes=[downstream])
-        graph = extract_graph(sim, [clk])
-        ordered = levelize(graph.comb)
-        assert [info.name for info in ordered] == ["decode", "stage2"]
-        assert ordered[0].level == 0
-        assert ordered[1].level == 1
+def _run_both(build, until, before=None):
+    """Run the design *build* returns on each engine; returns
+    ``{engine: (sim, design, engine_or_None, error)}``.  *before*
+    runs on each design ahead of the compared ``run`` call."""
+    runs = {}
+    for name in ("interpreted", "compiled"):
+        design = build()
+        sim = design[0]
+        engine = (compile_simulator(sim, [design[1]])
+                  if name == "compiled" else None)
+        if before is not None:
+            before(design)
+        error = None
+        try:
+            sim.run(until=until)
+        except DeltaCycleLimitError as exc:
+            error = exc
+        runs[name] = (sim, design, engine, error)
+    return runs
 
-    def test_cycle_error_names_full_path(self):
+
+def _settling_loop():
+    """Two combinational processes that feed each other: ``a`` climbs
+    one step per delta pair until it reaches a cap set by the counter,
+    so every cycle settles after several rounds."""
+    sim, clk, count, decoded = _counter_design()
+    a = Signal(sim, "a", width=8)
+    b = Signal(sim, "b", width=8)
+    evaluations = []
+
+    def fwd():
+        evaluations.append(sim.now)
+        a.write(min(b.value + 1, count.value % 4))
+    sim.add_method(fwd, [count, b], name="fwd", writes=[a])
+    sim.add_method(lambda: b.write(a.value), [a], name="back",
+                   writes=[b])
+    return sim, clk, a, b, evaluations
+
+
+def _oscillator():
+    """A combinational inverter loop a clocked enable switches on at
+    cycle 7; it never settles."""
+    sim = Simulator(max_delta_cycles=50)
+    clk = Clock.from_frequency(sim, "clk", MHz(100))
+    enable = Signal(sim, "enable")
+    a = Signal(sim, "a")
+    sim.add_method(lambda: enable.write(1 if clk.cycles >= 7 else 0),
+                   [clk.posedge], name="arm", initialize=False)
+    sim.add_method(lambda: a.write(1 - a.value if enable.value else 0),
+                   [enable, a], name="osc", writes=[a])
+    return sim, clk, a
+
+
+class TestSharedDeltaLoop:
+    """Both engines settle in the kernel's one delta loop, so a design
+    the interpreted kernel runs compiles and runs the same."""
+
+    def test_unsettled_loop_raises_the_same_error(self):
+        runs = _run_both(_oscillator, us(1))
+        errors = {name: run[3] for name, run in runs.items()}
+        assert all(errors.values())
+        interpreted, compiled = errors["interpreted"], errors["compiled"]
+        assert str(compiled) == str(interpreted)
+        assert "exceeded 50 delta cycles" in str(compiled)
+        assert compiled.process_names == interpreted.process_names \
+            == ("osc",)
+        sims = {name: run[0] for name, run in runs.items()}
+        assert sims["compiled"].delta_count \
+            == sims["interpreted"].delta_count
+        assert sims["compiled"].now == sims["interpreted"].now == ns(65)
+        assert runs["compiled"][2].runs_compiled == 1
+
+    def test_settling_loop_runs_identically(self):
+        runs = _run_both(_settling_loop, us(2))
+        engine = runs["compiled"][2]
+        assert engine.runs_compiled == 1, engine.fallback_reason
+        observed = {}
+        for name, (sim, design, _, error) in runs.items():
+            assert error is None
+            _, clk, a, b, evaluations = design
+            observed[name] = (sim.delta_count, sim.now, clk.cycles,
+                              a.value, b.value, evaluations)
+        assert observed["compiled"] == observed["interpreted"]
+        # the loop took several rounds on most cycles
+        cycles = observed["compiled"][2]
+        assert len(observed["compiled"][5]) > 2 * cycles
+
+    def test_write_staged_outside_a_process_takes_a_delta(self):
+        settles = []
+
+        def before(design):
+            sim, _, count, _ = design
+            sim.run(until=ns(55))
+            count.write(40)      # staged between runs, by no process
+            start = sim.delta_count
+            sim.run(until=sim.now)
+            # one delta commits the write, one runs the decode it wakes
+            settles.append(sim.delta_count - start)
+            count.write(7)       # and one more, left for the next run
+
+        runs = _run_both(_counter_design, us(1), before)
+        assert settles == [2, 2]
+        assert runs["compiled"][2].runs_compiled == 3
+        observed = {}
+        for name, (sim, design, _, _) in runs.items():
+            _, clk, count, decoded = design
+            observed[name] = (sim.delta_count, sim.now, clk.cycles,
+                              count.value, decoded.value)
+        assert observed["compiled"] == observed["interpreted"]
+
+    def test_two_clocks_raise_compile_error(self):
         sim = Simulator()
-        clk = Clock.from_frequency(sim, "clk", MHz(100))
-        a = Signal(sim, "a")
-        b = Signal(sim, "b")
-        sim.add_method(lambda: b.write(a.value), [a], name="fwd",
-                       writes=[b])
-        sim.add_method(lambda: a.write(b.value), [b], name="back",
-                       writes=[a])
-        graph = extract_graph(sim, [clk])
-        with pytest.raises(CompileError) as excinfo:
-            levelize(graph.comb)
-        error = excinfo.value
-        assert "combinational cycle" in str(error)
-        # The alternating process -> signal -> process path closes on
-        # itself and names both offenders and a connecting signal.
-        assert set(error.process_names) == {"fwd", "back"}
-        assert error.cycle_path[0] == error.cycle_path[-1]
-        assert {"a", "b"} & set(error.cycle_path)
-
-
-def _build_two_domain(seed_period_ns=10, second_period_ns=27):
-    """Two independent clock domains sharing one simulator."""
-    sim = Simulator()
-    clk_a = Clock(sim, "clk_a", period=ns(seed_period_ns))
-    clk_b = Clock(sim, "clk_b", period=ns(second_period_ns))
-    count_a = Signal(sim, "count_a", width=32)
-    count_b = Signal(sim, "count_b", width=32)
-    mixed = Signal(sim, "mixed", width=32)
-    sim.add_method(lambda: count_a.write(count_a.value + 1),
-                   [clk_a.posedge], name="tick_a", initialize=False)
-    sim.add_method(lambda: count_b.write(count_b.value + 1),
-                   [clk_b.posedge], name="tick_b", initialize=False)
-    sim.add_method(
-        lambda: mixed.write(count_a.value * 1000 + count_b.value),
-        [count_a, count_b], name="mix", writes=[mixed])
-    return sim, clk_a, clk_b, count_a, count_b, mixed
-
-
-class TestMultiClock:
-    def test_domain_partitioning(self):
-        sim, clk_a, clk_b, *_ = _build_two_domain()
-        graph = extract_graph(sim, [clk_a, clk_b])
-        assert [info.name
-                for info in graph.domain_of(clk_a).seq_pos] == ["tick_a"]
-        assert [info.name
-                for info in graph.domain_of(clk_b).seq_pos] == ["tick_b"]
-        assert [info.name for info in graph.comb] == ["mix"]
-
-    def test_two_domain_run_matches_interpreted(self):
-        reference = _build_two_domain()
-        reference[0].run(until=us(2))
-
-        sim, clk_a, clk_b, count_a, count_b, mixed = _build_two_domain()
-        engine = compile_simulator(sim, [clk_a, clk_b])
-        sim.run(until=us(2))
-        assert engine.runs_compiled == 1
-        assert engine.runs_declined == 0
-
-        ref_sim, ref_a, ref_b = reference[0], reference[1], reference[2]
-        assert (clk_a.cycles, clk_b.cycles) == (ref_a.cycles,
-                                                ref_b.cycles)
-        assert count_a.value == reference[3].value
-        assert count_b.value == reference[4].value
-        assert mixed.value == reference[5].value
-        assert sim.now == ref_sim.now
-        assert sim.delta_count == ref_sim.delta_count
-
-    def test_coincident_edges_keep_interpreted_order(self):
-        # Periods 10 and 20 ns: every other edge of the fast clock
-        # lands on the same picosecond as the slow clock's edge, so
-        # the multi-domain step must group and order by sequence
-        # number exactly as the interpreted heap does.
-        reference = _build_two_domain(10, 20)
-        reference[0].run(until=us(1))
-
-        sim, clk_a, clk_b, count_a, count_b, mixed = _build_two_domain(
-            10, 20)
-        compile_simulator(sim, [clk_a, clk_b])
-        sim.run(until=us(1))
-        assert sim.delta_count == reference[0].delta_count
-        assert mixed.value == reference[5].value
+        clk_a = Clock(sim, "clk_a", period=ns(10))
+        clk_b = Clock(sim, "clk_b", period=ns(27))
+        count = Signal(sim, "count", width=32)
+        sim.add_method(lambda: count.write(count.value + 1),
+                       [clk_b.posedge], name="tick_b",
+                       initialize=False)
+        with pytest.raises(CompileError,
+                           match="exactly one clock.*clk_a, clk_b"):
+            compile_simulator(sim, [clk_a, clk_b])
+        # naming one clock leaves the other clock's thread uncompilable
+        with pytest.raises(CompileError, match="clk_b"):
+            compile_simulator(sim, [clk_a])
+        assert sim.scheduler is None
+        sim.run(until=us(1))          # the interpreted kernel runs it
+        assert count.value == clk_b.cycles > 0
 
 
 class TestEngineFallback:

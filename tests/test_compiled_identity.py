@@ -30,7 +30,7 @@ import repro
 from repro.amba.transactions import reset_txn_ids
 from repro.compiled import compile_simulator, compile_system
 from repro.power.monitor_batch import MonitorBatch
-from repro.kernel import Clock, Signal, ns, us
+from repro.kernel import ns, us
 from repro.faults.campaign import CONTAINED_OUTCOMES
 from repro.replay import FaultEntry, campaign_spec, execute
 from repro.state import CheckpointPlan
@@ -256,10 +256,10 @@ class TestInterpretedBatchIdentity:
 
 class TestCompiledBatchPaths:
     """On the compiled engine the recorders run wherever the process
-    runs: in the emitted rising edge, in the multi-domain loop, on a
-    generic edge and in the interpreted loop a run is handed to.  Each
-    run below must batch both consumers and end where the per-cycle
-    methods end, with every row replayed when ``run`` returns."""
+    runs: in the emitted rising edge, on a generic edge and in the
+    interpreted loop a run is handed to.  Each run below must batch
+    both consumers and end where the per-cycle methods end, with every
+    row replayed when ``run`` returns."""
 
     @staticmethod
     def _paper(per_cycle, extend=None):
@@ -299,20 +299,6 @@ class TestCompiledBatchPaths:
         assert _rows(live.sim) == {"MonitorBatch": 0, "CheckerBatch": 0}
         assert self._observed(batched) == self._observed(live)
         return live, batched
-
-    def test_multi_domain_run_batches(self):
-        def second_domain(testbench):
-            sim = testbench.sim
-            clk2 = Clock(sim, "clk2", period=ns(27))
-            count = Signal(sim, "count2", width=32)
-            sim.add_method(lambda: count.write(count.value + 1),
-                           [clk2.posedge], name="tick2",
-                           initialize=False)
-            testbench.count2 = count
-            return [clk2]
-
-        live, batched = self._assert_batched_identity(second_domain)
-        assert batched.count2.value == live.count2.value > 0
 
     def test_hand_off_to_interpreted_loop_keeps_recording(self):
         def foreign_timer(testbench):

@@ -22,6 +22,8 @@ from repro.state import (
     CheckpointStore,
     Snapshot,
     StateFormatError,
+    canonical_json,
+    digest_of,
 )
 from repro.workloads import build_paper_testbench, build_scenario
 
@@ -99,7 +101,7 @@ class TestCheckpointFiles:
         path = store.put(snap)
         with open(path) as fh:
             text = fh.read()
-        assert text == json.dumps(snap.to_dict(), sort_keys=True) + "\n"
+        assert text == canonical_json(snap.to_dict()) + "\n"
         if indented:
             with open(path, "w") as fh:
                 json.dump(snap.to_dict(), fh, indent=2, sort_keys=True)
@@ -113,6 +115,27 @@ class TestCheckpointFiles:
         assert resumed.snapshot().digest == snap.digest
         resumed.run(us(2))
         assert resumed.snapshot().digest == expected
+
+    def test_one_encoding_gives_every_digest(self):
+        """The spliced text, the digest and the section digests equal
+        those of encoding the tree and each section separately."""
+        donor = build()
+        donor.run(us(1))
+        snap = donor.snapshot()
+        tree = snap.tree
+        kernel = tree["kernel"]
+        expected = {
+            "kernel": digest_of({key: value
+                                 for key, value in kernel.items()
+                                 if key != "signals"}),
+            "kernel.signals": digest_of(kernel["signals"]),
+        }
+        for path, state in tree["components"].items():
+            expected["components." + path] = digest_of(state)
+        assert snap.section_digests() == expected
+        assert list(snap.section_digests()) == list(expected)
+        assert snap.digest == digest_of(tree)
+        assert snap._text == canonical_json(tree)
 
     def test_indented_checkpoint_is_digest_verified(self, tmp_path):
         donor = build()

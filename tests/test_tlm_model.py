@@ -114,6 +114,30 @@ class TestFidelityRefusal:
         assert "signal" in (outcome.detail or "").lower()
 
 
+    def test_tiers_contain_a_crash_alike(self):
+        """Both tiers contain an elaboration crash the same way: no
+        system, the same zeroed ``crashed`` fingerprint, and the
+        traceback kept beside it."""
+        spec = campaign_spec("portable-audio-player", duration_us=5.0)
+        spec.faults += [FaultEntry.signal_fault(
+            "glitch", "hwdata", value=0xDEAD, start_ps=0)]
+        tlm_system, tlm = execute(spec.replace(tier="tlm"))
+        cycle_system, cycle = execute(
+            spec.replace(scenario_kwargs={"bogus": 1}))
+        assert tlm_system is None and cycle_system is None
+        fingerprints = []
+        for outcome, error in ((tlm, "TlmFidelityError"),
+                               (cycle, "TypeError")):
+            fingerprint = outcome.fingerprint()
+            assert fingerprint.pop("detail").startswith(error + ": ")
+            assert outcome.traceback_text.startswith("Traceback")
+            assert outcome.traceback_text.splitlines()[-1].endswith(
+                outcome.detail)
+            fingerprints.append(fingerprint)
+        assert fingerprints[0] == fingerprints[1]
+        assert fingerprints[0]["outcome"] == "crashed"
+
+
 class TestSerialParallelParity:
     def test_jobs2_campaign_identical(self):
         """ISSUE 9 acceptance: a TLM campaign gives byte-identical
