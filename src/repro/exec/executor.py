@@ -54,7 +54,7 @@ import time
 
 from ..faults.campaign import FaultRunResult
 from .journal import CampaignJournal, JournalError, load_journal
-from .worker import execute_payload, worker_main
+from .worker import execute_payload, preload, worker_main
 
 
 def _unfinished_result(run, outcome, detail, attempts, wall_time_s,
@@ -415,6 +415,9 @@ class CampaignExecutor:
         method = config.start_method or (
             "fork" if "fork" in methods else None)
         self._ctx = multiprocessing.get_context(method)
+        if self._ctx.get_start_method() == "fork":
+            preload([run.spec for run in self._pending],
+                    coverage=config.collect_coverage)
         self._result_queue = self._ctx.Queue()
         for _ in range(min(config.jobs, len(self._pending))):
             self._spawn_worker()

@@ -20,6 +20,7 @@ behave differently in a disposable worker than in the supervisor.
 
 from __future__ import annotations
 
+import importlib
 import os
 import signal
 import threading
@@ -81,6 +82,26 @@ def execute_payload(payload, wall_clock_budget=None):
         result.coverage = probe.coverage_keys(system, outcome)
     close_system(system)
     return result.to_dict()
+
+
+def preload(specs, coverage=False):
+    """Import every module :func:`execute_payload` needs to run *specs*
+    (with the coverage probe if *coverage*), so that a worker forked
+    afterwards inherits them instead of importing them on its first
+    run."""
+    from .. import _load_batch_kinds
+
+    _load_batch_kinds()
+    modules = ["..faults.campaign", "..replay", "..telemetry"]
+    if coverage:
+        modules.append("..fuzz.coverage")
+    if any(spec.tier == "tlm" for spec in specs):
+        modules.append("..tlm")
+    if any(spec.tier == "cycle" and spec.engine == "compiled"
+           for spec in specs):
+        modules.append("..compiled.engine")
+    for name in modules:
+        importlib.import_module(name, __package__)
 
 
 def worker_main(worker_id, task_queue, result_queue, heartbeat,

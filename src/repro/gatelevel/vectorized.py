@@ -4,10 +4,12 @@ The scalar :class:`~repro.gatelevel.simulate.GateLevelSimulator`
 evaluates one vector at a time with a Python dict lookup per cell pin —
 fine for protocol work, but macromodel characterisation sweeps apply
 thousands of vectors to the same netlist.  :func:`run_batch` evaluates
-a whole vector batch in one pass: every net becomes a ``uint8`` column
-of length *N* and every cell one NumPy bitwise expression, so the
-per-cell interpreter cost is paid once per *batch* instead of once per
-*vector*.
+a whole vector batch in one pass: every net becomes a ``uint8`` row
+of length *N* in one preallocated state matrix, and every cell writes
+its row with one in-place ufunc call (two for an inverting cell), so
+the per-cell interpreter cost is paid once per *batch* instead of once
+per *vector*.  Buses up to 63 bits wide decode from one ``int64``
+array.
 
 Exactness contract — the batch is the scalar ``step_ints`` sweep of
 the same vectors, bit for bit:
@@ -21,8 +23,10 @@ the same vectors, bit for bit:
   the cell-output charges in levelised order in a separate float, adds
   the two, then charges each flip-flop's Q toggle and clock pin in
   netlist order.  The batch adds ``½CV²`` net by net over the whole
-  column in exactly that order; a net that did not flip adds ``0.0``,
-  which changes nothing.  Input nets are charged in the order each
+  row in exactly that order — a block of nets' terms at a time, each
+  term row added in place, never summed across nets first — and a
+  net that did not flip adds ``0.0``, which changes nothing.  Input
+  nets are charged in the order each
   vector names its buses (a bus-column mapping names them in its key
   order), and the simulator's ``total_energy`` is accumulated vector
   by vector, as the scalar sweep does;
@@ -55,19 +59,24 @@ except ImportError:          # pragma: no cover - numpy is baked in
 from .gates import bits_to_int
 from .simulate import _is_scalar
 
-#: Vectorized cell evaluators for the stock library, by cell name.
-#: Each maps ``uint8`` 0/1 arrays to a ``uint8`` 0/1 array with the
-#: same truth table as the scalar ``fn``.
-_VECTOR_FNS = {
-    "INV": lambda a: 1 - a,
-    "BUF": lambda a: a.copy(),
-    "AND2": lambda a, b: a & b,
-    "OR2": lambda a, b: a | b,
-    "NAND2": lambda a, b: 1 - (a & b),
-    "NOR2": lambda a, b: 1 - (a | b),
-    "XOR2": lambda a, b: a ^ b,
-    "XNOR2": lambda a, b: 1 - (a ^ b),
+#: The stock library by cell name, as ``(ufunc, inverting)``: a cell
+#: writes ``ufunc(*inputs)`` straight into its output row, and an
+#: inverting cell then takes ``1 - x`` of that row in place.  On
+#: ``uint8`` 0/1 rows this is the scalar ``fn``'s truth table.
+_CELL_UFUNCS = {} if _np is None else {
+    "INV": (_np.positive, True),
+    "BUF": (_np.positive, False),
+    "AND2": (_np.bitwise_and, False),
+    "OR2": (_np.bitwise_or, False),
+    "NAND2": (_np.bitwise_and, True),
+    "NOR2": (_np.bitwise_or, True),
+    "XOR2": (_np.bitwise_xor, False),
+    "XNOR2": (_np.bitwise_xor, True),
 }
+
+#: Float terms per charging block: a block of rows holds about this
+#: many ``float64`` terms (64 KiB), whatever the batch length.
+_BLOCK_CELLS = 1 << 13
 
 
 class BatchResult:
@@ -99,14 +108,34 @@ class BatchResult:
         )
 
 
+def _words(values):
+    """*values* as one ``int64`` array, or ``None`` if one of them does
+    not fit, or they are an array of non-integers (which NumPy would
+    cast without complaint)."""
+    if getattr(values, "dtype", _np.dtype(int)).kind not in "biu":
+        return None
+    try:
+        words = _np.asarray(values, dtype=_np.int64)
+    except (OverflowError, TypeError, ValueError):
+        return None
+    return words if words.ndim == 1 else None
+
+
 def bus_bits(values, width):
     """Decode integers into an ``(N, width)`` ``uint8`` bit matrix,
     LSB first — :func:`~repro.gatelevel.gates.int_to_bits` row by row.
 
-    Exact at any width: each value is masked to *width* bits and
-    unpacked from its little-endian bytes, never squeezed through a
-    fixed-width integer dtype.
+    Exact at any width.  Up to 63 bits, values that fit ``int64``
+    unpack from that array's little-endian bytes, whose low *width*
+    bits are the value's two's-complement digits.  Wider buses and
+    values beyond ``int64`` are masked to *width* bits and unpacked
+    from their own bytes, never squeezed through a fixed-width dtype.
     """
+    words = _words(values) if width <= 63 else None
+    if words is not None:
+        octets = words.astype("<i8", copy=False).view(_np.uint8)
+        return _np.unpackbits(octets.reshape(-1, 8), axis=1, count=width,
+                              bitorder="little")
     mask = (1 << width) - 1
     size = (width + 7) // 8
     packed = b"".join((int(value) & mask).to_bytes(size, "little")
@@ -140,25 +169,34 @@ def _bus_columns(simulator, vectors):
     return columns, list(orders.items())
 
 
-def _vector_fn(cell):
-    """The batched evaluator for *cell* (library fast path or a
-    ``frompyfunc`` wrap of the scalar truth function)."""
-    fast = _VECTOR_FNS.get(cell.cell_type.name)
-    if fast is not None:
-        return fast
-    wrapped = _np.frompyfunc(cell.cell_type.fn, cell.cell_type.n_inputs, 1)
-    return lambda *cols: wrapped(*cols).astype(_np.uint8)
+def _evaluate(cell, row_of):
+    """Write *cell*'s output row from its input rows (*row_of* maps
+    each net to its row)."""
+    out = row_of[cell.output]
+    inputs = [row_of[net] for net in cell.inputs]
+    fast = _CELL_UFUNCS.get(cell.cell_type.name)
+    if fast is None:
+        wrapped = _np.frompyfunc(cell.cell_type.fn,
+                                 cell.cell_type.n_inputs, 1)
+        out[:] = wrapped(*inputs)
+        return
+    ufunc, inverting = fast
+    ufunc(*inputs, out)
+    if inverting:
+        _np.subtract(1, out, out)
 
 
 def _check_feed_forward(netlist):
     """Raise :class:`ValueError` if any cell or flop D reads a flop Q."""
-    q_nets = {id(flop.q): flop.q for flop in netlist.dffs}
+    q_nets = {flop.q for flop in netlist.dffs}
+    if not q_nets:
+        return
     readers = [(net, "cell %s" % cell.output.name)
                for cell in netlist.cells for net in cell.inputs]
     readers += [(flop.d, "flip-flop %s" % flop.q.name)
                 for flop in netlist.dffs]
     for net, reader in readers:
-        if id(net) in q_nets:
+        if net in q_nets:
             raise ValueError(
                 "netlist %r feeds flip-flop output %s back into %s; the "
                 "batched path takes feed-forward flops only (feedback "
@@ -214,10 +252,10 @@ def run_batch(simulator, vectors):
                + [flop.q for flop in netlist.dffs])
     states = _np.empty((len(charged), count + 1), dtype=_np.uint8)
     states[:, 0] = [values[net] for net in charged]
-    columns = {id(net): row for net, row in zip(charged, states[:, 1:])}
+    row_of = dict(zip(charged, states[:, 1:]))
     for net in netlist.inputs:  # inputs the batch never sets hold still
-        columns.setdefault(id(net),
-                           _np.full(count, values[net], dtype=_np.uint8))
+        if net not in row_of:
+            row_of[net] = _np.full(count, values[net], dtype=_np.uint8)
 
     for name, column in buses.items():
         nets = simulator._bus_nets(name)
@@ -226,31 +264,44 @@ def run_batch(simulator, vectors):
                                 dtype=_np.uint8, count=count)[:, None]
         else:
             bits = bus_bits(column, len(nets))
-        rows = bus_rows[name]
-        states[rows.start:rows.stop, 1:] = bits.T
+        span = bus_rows[name]
+        states[span.start:span.stop, 1:] = bits.T
     for cell in simulator._order:
-        columns[id(cell.output)][:] = _vector_fn(cell)(
-            *(columns[id(net)] for net in cell.inputs))
+        _evaluate(cell, row_of)
     for flop in netlist.dffs:
-        columns[id(flop.q)][:] = columns[id(flop.d)]
+        row_of[flop.q][:] = row_of[flop.d]
 
     flips = states[:, 1:] != states[:, :-1]
-    net_toggles = _np.count_nonzero(flips, axis=1).tolist()
-    for net, toggles, last in zip(charged, net_toggles,
+    net_toggles = _np.count_nonzero(flips, axis=1)
+    for net, toggles, last in zip(charged, net_toggles.tolist(),
                                   states[:, -1].tolist()):
         simulator.toggle_counts[net] += toggles
         values[net] = last
 
     scale = simulator._energy_scale
+    charges = _np.array([net.capacitance for net in charged]) * scale
+    toggled = net_toggles > 0
+    block = max(1, _BLOCK_CELLS // max(count, 1))
 
-    def charge(rows, energy, among=None):
-        """Add each row's ``½CV²`` to *energy* where its net flipped
-        (only in the vectors flagged by *among*, if given)."""
-        for row in rows:
-            if net_toggles[row]:
-                flipped = flips[row] if among is None else flips[row] & among
-                _np.add(energy, charged[row].capacitance * scale,
-                        out=energy, where=flipped)
+    def charge(energy, rows, among=None):
+        """Add ``½CV²`` of each net in *rows* (an index array) to
+        *energy* where it flipped (and *among* is set, if given), one
+        net after another in *rows* order.
+
+        Nets go in blocks: one multiply makes a block's terms, then
+        each term row is added to *energy* in place, so every vector's
+        float sum is the scalar step's.  (A ``sum`` or ``add.reduce``
+        across rows may pair the terms differently and round
+        differently.)
+        """
+        rows = rows[toggled[rows]]
+        for start in range(0, len(rows), block):
+            part = rows[start:start + block]
+            flipped = flips[part]
+            if among is not None:
+                flipped &= among
+            for term in _np.multiply(flipped, charges[part, None]):
+                energy += term
 
     cells_end = len(applied) + len(simulator._order)
     energy = _np.zeros(count)
@@ -259,19 +310,20 @@ def run_batch(simulator, vectors):
         if len(orders) > 1:
             among = _np.zeros(count, dtype=bool)
             among[members] = True
-        charge([row for name in names for row in bus_rows[name]],
-               energy, among)
+        charge(energy, _np.array([row for name in names
+                                  for row in bus_rows[name]], dtype=int),
+               among)
     cell_energy = _np.zeros(count)
-    charge(range(len(applied), cells_end), cell_energy)
+    charge(cell_energy, _np.arange(len(applied), cells_end))
     energy += cell_energy
     for row, flop in enumerate(netlist.dffs, cells_end):
-        charge((row,), energy)
+        charge(energy, _np.array([row]))
         energy += flop.clock_cap * 2 * scale
 
     outputs = _np.empty((count, len(netlist.outputs)), dtype=_np.uint8)
     for position, net in enumerate(netlist.outputs):
-        column = columns.get(id(net))
-        outputs[:, position] = values[net] if column is None else column
+        row = row_of.get(net)
+        outputs[:, position] = values[net] if row is None else row
 
     per_vector = flips.sum(axis=0, dtype=_np.int64)
     total_toggles = int(per_vector.sum())

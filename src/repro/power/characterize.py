@@ -116,9 +116,15 @@ def fit_linear_model(feature_rows, energies, feature_names,
 
 def _hamming_steps(values, start=0):
     """``hamming_int`` of each value with the one before it (the first
-    with *start*), over a whole sweep at once."""
+    with *start*), over a whole sweep at once: bit counts of the XOR of
+    neighbouring ``uint64`` words, or of neighbouring bit rows when a
+    value does not fit 64 bits."""
     sweep = [start, *values]
-    bits = bus_bits(sweep, max(sweep).bit_length() or 1)
+    top = max(sweep)
+    if top < 1 << 64 and min(sweep) >= 0:
+        words = np.array(sweep, dtype=np.uint64)
+        return np.bitwise_count(words[1:] ^ words[:-1]).astype(np.intp)
+    bits = bus_bits(sweep, top.bit_length() or 1)
     return np.count_nonzero(bits[1:] != bits[:-1], axis=1)
 
 
@@ -164,16 +170,19 @@ def characterize_mux(n_inputs, width, vdd=1.8, samples=500, seed=2,
     select = 0
     data = [[] for _ in range(n_inputs)]
     selects, outs = [], []
-    for _ in range(samples):
+    for index in range(samples):
         if rng.random() < select_change_probability:
             select = rng.randrange(n_inputs)
         # Toggle a random subset of the selected leg's bits.
         flip = rng.getrandbits(width) & rng.getrandbits(width)
+        column = data[select]   # held since the leg last changed
+        column += [legs[select]] * (index - len(column))
         legs[select] ^= flip
-        for leg, column in zip(legs, data):
-            column.append(leg)
+        column.append(legs[select])
         selects.append(select)
         outs.append(legs[select])
+    for leg, column in zip(legs, data):
+        column += [leg] * (samples - len(column))
     buses = {"d%d" % i: column for i, column in enumerate(data)}
     buses["s"] = selects
     simulator.step_ints(**{"d%d" % i: 0 for i in range(n_inputs)}, s=0)

@@ -406,3 +406,36 @@ class TestJson:
             assert run["fingerprint"] is not None
         blob = json.dumps(data)
         assert "quarantined" not in blob  # healthy campaign
+
+
+class TestWorkerPreload:
+    @pytest.mark.parametrize("engine, tier", [("compiled", "cycle"),
+                                              ("interpreted", "cycle"),
+                                              ("interpreted", "tlm")])
+    def test_first_run_after_preload_imports_nothing(self, engine, tier):
+        # A fresh process holding only what a supervisor imports: after
+        # ``preload``, a forked worker's first run finds every module
+        # it needs already imported.
+        src = os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        child = (
+            "import sys\n"
+            "from repro.exec.worker import execute_payload, preload\n"
+            "from repro.replay import campaign_spec\n"
+            "spec = campaign_spec(%r, duration_us=1.0, engine=%r,\n"
+            "                     tier=%r)\n"
+            "preload([spec], coverage=True)\n"
+            "before = set(sys.modules)\n"
+            "result = execute_payload({'run': 'r', 'scenario': %r,\n"
+            "                          'fault': 'none', 'coverage': True,\n"
+            "                          'spec': spec.to_dict()})\n"
+            "assert result['outcome'] == 'completed', result\n"
+            "print(sorted(name for name in set(sys.modules) - before\n"
+            "             if name.split('.')[0] == 'repro'))\n"
+            % (SCENARIO, engine, tier, SCENARIO))
+        output = subprocess.run(
+            [sys.executable, "-c", child], env=env, check=True,
+            capture_output=True, text=True, timeout=300).stdout
+        assert output.strip() == "[]"

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.gatelevel import vectorized
+
 from repro.gatelevel import (
     AND2,
     BUF,
@@ -279,6 +281,31 @@ class TestBusColumns:
         assert column_sim.total_energy == dict_sim.total_energy
         _assert_same_state(column_sim, dict_sim)
 
+    def test_omitted_bus_in_column_form_holds_its_value(self):
+        # A bus the columns leave out keeps the value the simulator
+        # holds, as a scalar sweep that never names it does.
+        vectors = _mux_vectors(40, seed=11)
+        columns = {name: [vector[name] for vector in vectors]
+                   for name in ("s", "d0", "d2")}
+        scalar_sim = GateLevelSimulator(synth_mux(4, 8))
+        batch_sim = GateLevelSimulator(synth_mux(4, 8))
+        for sim in (scalar_sim, batch_sim):
+            sim.step_ints(d1=0x5A, d3=0xC3)
+        steps = [scalar_sim.step_ints(s=s, d0=d0, d2=d2)
+                 for s, d0, d2 in zip(*columns.values())]
+
+        result = run_batch(batch_sim, columns)
+
+        assert result.per_vector_energy.tolist() == [
+            step.energy for step in steps]
+        assert result.per_vector_toggles.tolist() == [
+            step.toggles for step in steps]
+        outputs = scalar_sim.netlist.outputs
+        assert result.outputs.tolist() == [
+            [step.outputs[net] for net in outputs] for step in steps]
+        assert batch_sim.total_energy == scalar_sim.total_energy
+        _assert_same_state(batch_sim, scalar_sim)
+
     def test_columns_must_share_one_length(self):
         sim = GateLevelSimulator(synth_mux(2, 4))
         with pytest.raises(ValueError, match="differ in length"):
@@ -317,6 +344,136 @@ class TestBusColumns:
     def test_bus_bits_matches_int_to_bits(self, values, width):
         assert bus_bits(values, width).tolist() == [
             int_to_bits(value, width) for value in values]
+
+
+    @pytest.mark.parametrize("width", [62, 63, 64, 65])
+    def test_bus_bits_at_the_word_edge(self, width):
+        # Both sides of the int64 word path: negative values, values
+        # that fill or overflow the bus, and values beyond int64 that
+        # must take the byte path.
+        top = 1 << width
+        values = [0, 1, -1, -2, top - 1, top, top + 1, -top, -top - 1,
+                  (1 << 62) + 3, (1 << 63) - 1, 1 << 63, -(1 << 63),
+                  -(1 << 63) - 1, (1 << 64) - 1, 1 << 64, -(1 << 64),
+                  (1 << 90) | 0x5A5A, -(1 << 90) - 7]
+        assert bus_bits(values, width).tolist() == [
+            int_to_bits(value, width) for value in values]
+        for value in values:  # one value alone picks its own path
+            assert bus_bits([value], width).tolist() == [
+                int_to_bits(value, width)]
+
+    def test_bus_bits_takes_integer_arrays(self):
+        values = np.array([0, 5, -3, (1 << 63) - 1], dtype=np.int64)
+        assert bus_bits(values, 63).tolist() == [
+            int_to_bits(int(value), 63) for value in values]
+        words = np.array([(1 << 64) - 1, 1 << 63, 7], dtype=np.uint64)
+        assert bus_bits(words, 40).tolist() == [
+            int_to_bits(int(value), 40) for value in words]
+        assert bus_bits(np.array([True, False]), 3).tolist() == [
+            [1, 0, 0], [0, 0, 0]]
+
+
+# -- order-safe charging ----------------------------------------------------
+#
+# ``run_batch`` adds each net's charge to every vector's energy one net
+# after another, as the scalar step does.  Summing a block of nets with
+# ``sum`` or ``add.reduce`` would pair the terms differently and round
+# differently in some vectors; these fixed cases (single vectors, whose
+# column NumPy reduces pairwise, and a batch whose charged nets span
+# several blocks) catch that where the sampled property may not.
+
+def _assert_batch_is_sweep(build, batch, warm=()):
+    scalar_sim = GateLevelSimulator(build())
+    batch_sim = GateLevelSimulator(build())
+    for vector in warm:
+        scalar_sim.step_ints(**vector)
+        batch_sim.step_ints(**vector)
+    steps = [scalar_sim.step_ints(**vector) for vector in batch]
+
+    result = run_batch(batch_sim, batch)
+
+    assert result.per_vector_energy.tolist() == [
+        step.energy for step in steps]
+    assert result.per_vector_toggles.tolist() == [
+        step.toggles for step in steps]
+    assert batch_sim.total_energy == scalar_sim.total_energy
+    _assert_same_state(batch_sim, scalar_sim)
+    return batch_sim
+
+
+_BLOCKS = {
+    "decoder-8": lambda: synth_one_hot_decoder(8),
+    "decoder-32": lambda: synth_one_hot_decoder(32),
+    "mux-2x8": lambda: synth_mux(2, 8),
+    "mux-8x32": lambda: synth_mux(8, 32),
+    "arbiter-4": lambda: synth_priority_arbiter(4),
+    "arbiter-16": lambda: synth_priority_arbiter(16),
+}
+
+
+def _busy_vectors(kind, count, seed=0):
+    """*count* vectors that flip many nets of block *kind* at once."""
+    vectors = []
+    state = seed
+    for _ in range(count):
+        state = (state * 6364136223846793005 + 1442695040888963407) \
+            & ((1 << 64) - 1)
+        if kind.startswith("decoder"):
+            vectors.append({"a": state >> 59})
+        elif kind.startswith("arbiter"):
+            vectors.append({"req": state >> 48})
+        else:
+            legs, width = (2, 8) if kind == "mux-2x8" else (8, 32)
+            vector = {"d%d" % leg: (state >> leg) & ((1 << width) - 1)
+                      for leg in range(legs)}
+            vector["s"] = (state >> 61) % legs
+            vectors.append(vector)
+    return vectors
+
+
+class TestOrderedCharging:
+    @pytest.mark.parametrize("kind", sorted(_BLOCKS))
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_short_batches_equal_the_sweep(self, kind, count):
+        for seed in range(6):
+            _assert_batch_is_sweep(
+                _BLOCKS[kind], _busy_vectors(kind, count, seed),
+                warm=_busy_vectors(kind, 1, seed + 100))
+
+    def test_arbiter_single_vectors_charge_flops_in_order(self):
+        # Every requester pattern from a held state: grant flops flip
+        # or hold, and the clock pins are charged after each Q.
+        for held in (0, 1, 0x8000, 0xFFFF):
+            for req in (0, 1, 2, 0x8001, 0x7FFF, 0xFFFF):
+                _assert_batch_is_sweep(_BLOCKS["arbiter-16"],
+                                       [{"req": req}],
+                                       warm=[{"req": held}])
+
+    def test_dict_batch_with_mixed_bus_orders(self):
+        vectors = []
+        for index, vector in enumerate(_busy_vectors("mux-8x32", 60, 5)):
+            names = sorted(vector)
+            if index % 3 == 1:
+                names.reverse()
+            elif index % 3 == 2:
+                names = names[index % len(names):] \
+                    + names[:index % len(names)]
+            if index % 4 == 3:
+                names = names[::2]      # the rest hold their values
+            vectors.append({name: vector[name] for name in names})
+        assert len({tuple(vector) for vector in vectors}) > 3
+        _assert_batch_is_sweep(_BLOCKS["mux-8x32"], vectors)
+
+    def test_long_mux_batch_spans_several_blocks(self):
+        vectors = _busy_vectors("mux-8x32", 500, 9)
+        sim = _assert_batch_is_sweep(_BLOCKS["mux-8x32"], vectors)
+        flipped = sum(1 for count in sim.toggle_counts.values() if count)
+        assert flipped > 3 * (vectorized._BLOCK_CELLS // len(vectors))
+        columns = {name: [vector[name] for vector in vectors]
+                   for name in vectors[0]}
+        by_column = GateLevelSimulator(synth_mux(8, 32))
+        result = run_batch(by_column, columns)
+        assert result.energy == sim.total_energy == by_column.total_energy
 
 
 class TestFlipFlopScope:

@@ -4,14 +4,18 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.gatelevel.gates import hamming_int
 from repro.power import (
     characterize_arbiter,
     characterize_decoder,
     characterize_mux,
     fit_linear_model,
 )
+from repro.power.characterize import _hamming_steps
 
 
 class TestFitLinearModel:
@@ -100,6 +104,29 @@ class TestArbiterCharacterisation:
         result = characterize_arbiter(3, samples=100)
         assert result.rmse >= 0
         assert "CharacterizationResult" in repr(result)
+
+
+#: Values of a bit width drawn from both sides of the 64-bit word edge.
+_EDGE_VALUES = st.sampled_from([1, 8, 62, 63, 64, 65, 80]).flatmap(
+    lambda width: st.integers(0, (1 << width) - 1))
+
+
+class TestHammingSteps:
+    @given(st.lists(_EDGE_VALUES, max_size=30), _EDGE_VALUES)
+    def test_matches_hamming_int(self, values, start):
+        steps = _hamming_steps(values, start)
+        sweep = [start, *values]
+        assert steps.tolist() == [hamming_int(a, b)
+                                  for a, b in zip(sweep, sweep[1:])]
+        assert steps.dtype == np.intp
+
+    def test_both_sides_of_the_word_edge(self):
+        top = (1 << 64) - 1
+        for values in ([top, 0, top, 1 << 63], [top, 1 << 64, 3],
+                       [(1 << 70) | 5, top]):
+            sweep = [0, *values]
+            assert _hamming_steps(values).tolist() == [
+                hamming_int(a, b) for a, b in zip(sweep, sweep[1:])]
 
 
 PINS = os.path.join(os.path.dirname(__file__), "characterize_pins.json")
