@@ -32,12 +32,11 @@ wide accumulation the engine steers by.
 Neither hook runs per cycle on a run that batches
 (:mod:`repro.kernel.rowbatch`, either engine): the bus monitor is a
 record/replay consumer of its own, and the power hook receives the
-mode codes of every block the batched power monitor replays.  Each
-key family is built in one place, over a sequence of cycles: a block,
-or the one cycle of a live method (diverted cycles, runs with a kernel
-observer, power FSMs with a per-cycle sink or a chained telemetry
-tracer).  Every run ends with a flush, so the probe's checkpointed
-state is current between ``run`` calls.
+mode codes of every block the power FSM steps.  Each key family is
+built in one place, over a sequence of cycles: a block, or the one
+cycle of a live method (diverted cycles, runs with a kernel observer,
+a power FSM with a data file).  Every run ends with a flush, so the
+probe's checkpointed state is current between ``run`` calls.
 """
 
 from __future__ import annotations
@@ -141,31 +140,23 @@ class _BusCoverageBatch(RowBatch):
 class _PowerCoverage:
     """Power-FSM tracer hook recording state-transition pairs.
 
-    ``on_step`` sees one cycle; ``on_modes`` sees a block the batched
-    monitor replayed, so the monitor need not run per cycle.  Chains
-    to any tracer already attached so telemetry and coverage can
-    coexist on one monitor; the chained tracer needs every cycle, so a
-    chained hook withdraws ``on_modes`` and the monitor stays live.
+    ``on_block`` sees a live cycle or a block the batched monitor
+    replayed.  Chains to any tracer already attached so telemetry and
+    coverage can coexist on one monitor.
     """
 
     def __init__(self, keys, chained=None):
         self.keys = keys
         self.chained = chained
         self._prev = None
-        if chained is not None:
-            self.on_modes = None
 
-    def on_step(self, time_ps, mode, instruction, block_energies,
-                total, response):
-        self._add((MODES.index(mode),))
-        if self.chained is not None:
-            self.chained.on_step(time_ps, mode, instruction,
-                                 block_energies, total, response)
-
-    def on_modes(self, codes):
-        """The pairs of a replayed block: *codes* are its per-cycle
-        modes as indices into :data:`~repro.power.instructions.MODES`."""
+    def on_block(self, times, codes, instructions, energies, totals):
+        """The pairs of a block: *codes* are its per-cycle modes as
+        indices into :data:`~repro.power.instructions.MODES`."""
         self._add(codes)
+        if self.chained is not None:
+            self.chained.on_block(times, codes, instructions, energies,
+                                  totals)
 
     def _add(self, codes):
         first = codes[0] if self._prev is None \

@@ -27,9 +27,9 @@ class BusMode(Enum):
         return self.value
 
 
-#: The modes by integer code, in definition order.  A batched replay
-#: hands a power-FSM tracer's ``on_modes`` hook its block's per-cycle
-#: modes as codes indexing this tuple.
+#: The modes by integer code, in definition order.  The power FSM's
+#: block step takes each cycle's mode as a code indexing this tuple,
+#: and hands the codes on to its tracer's ``on_block`` hook.
 MODES = tuple(BusMode)
 IDLE_CODE, IDLE_HO_CODE, READ_CODE, WRITE_CODE = range(len(MODES))
 
@@ -82,7 +82,8 @@ def instruction_name(previous, current):
     return "%s_%s" % (previous.value, current.value)
 
 
-#: Every mode transition, i.e. the complete instruction alphabet.
+#: Every mode transition, i.e. the complete instruction alphabet; the
+#: one from mode code *p* to *c* is at ``4 * p + c``.
 ALL_INSTRUCTIONS = tuple(
     instruction_name(src, dst)
     for src in BusMode for dst in BusMode

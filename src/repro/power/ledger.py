@@ -66,19 +66,66 @@ class EnergyLedger:
         as ``"WRITE_READ"``); unknown blocks are added on the fly so
         extended decompositions (e.g. an APB bridge block) just work.
         *response* optionally tags the cycle with the bus response kind
-        shown during it (fault/overhead accounting).
+        shown during it (fault/overhead accounting).  A one-row
+        :meth:`charge_block`; returns the cycle's total.
         """
-        return self.charge_bulk(instruction, 1, block_energies, response)
+        return self.charge_block(
+            (instruction,), {block: (energy,) for block, energy
+                             in block_energies.items()}, (response,))[0]
+
+    def charge_block(self, instructions, energies, responses):
+        """Account a block of cycles: *instructions* names each cycle's
+        instruction, *energies* maps block → the block's per-cycle
+        joules, and *responses* tags each cycle with a response kind
+        (``None`` leaves a cycle untagged).
+
+        Every accumulator adds in cycle order, so a block charges what
+        its cycles charge one at a time.  A negative energy raises
+        before its block's account and any per-cycle account is
+        charged.  Returns the per-cycle totals, each the cycle's block
+        energies added in *energies* order.
+        """
+        totals = [0.0] * len(instructions)
+        block_energy = self.block_energy
+        for block, column in energies.items():
+            accumulated = block_energy.get(block, 0.0)
+            index = 0
+            for energy in column:
+                if energy < 0:
+                    raise ValueError(
+                        "negative energy %r for block %r" % (energy, block)
+                    )
+                accumulated += energy
+                totals[index] += energy
+                index += 1
+            block_energy[block] = accumulated
+        stats_of = self.instructions
+        by_response = self.response_energy
+        total_energy = self.total_energy
+        for instruction, response, total in zip(instructions, responses,
+                                                totals):
+            stats = stats_of.get(instruction)
+            if stats is None:
+                stats = stats_of[instruction] = InstructionStats()
+            stats.count += 1
+            stats.energy += total
+            if response is not None:
+                by_response[response] = by_response.get(response, 0.0) \
+                    + total
+            total_energy += total
+        self.total_energy = total_energy
+        self.cycles += len(totals)
+        return totals
 
     def charge_bulk(self, instruction, count, block_energies,
                     response=None):
         """Account *count* identical cycles in one update.
 
         Equivalent to calling :meth:`charge_cycle` *count* times with
-        the same arguments, but O(blocks) instead of O(count) — the
+        the same arguments up to rounding (each energy is charged as
+        ``energy * count``), but O(blocks) instead of O(count) — the
         transaction-level tier charges whole mode runs through this
-        path, and :meth:`charge_cycle` is one such run.  Returns the
-        total energy charged (joules).
+        path.  Returns the total energy charged (joules).
         """
         if count < 0:
             raise ValueError("negative cycle count %r" % count)

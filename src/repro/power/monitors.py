@@ -10,9 +10,11 @@
   :class:`BusCycle`, and its energies once, in the macromodels:
   :meth:`GlobalPowerMonitor._step` runs them on one row, the batched
   replay (:mod:`repro.power.monitor_batch`, which a stock monitor uses
-  on both engines unless a per-cycle sink, a clock gate or tree, or a
+  on both engines unless a data file, a clock gate or tree, or a
   kernel observer needs the live method) on a block's columns, and
-  the VCD replay (:mod:`repro.power.offline`) on dumped rows.
+  the VCD replay (:mod:`repro.power.offline`) on dumped rows.  A row
+  and a block reach the power FSM's block step the same way,
+  :meth:`GlobalPowerMonitor._charge`.
 
 * :class:`LocalPowerMonitor` — "a particular process added to those
   already present in the module ... a system activity monitor".  It
@@ -43,7 +45,6 @@ from ..kernel import Module
 from .activity import Activity
 from .hamming import ROW, hamming, switching
 from .instructions import (
-    MODES,
     READ_CODE,
     WRITE_CODE,
     classify_mode,
@@ -327,9 +328,19 @@ class GlobalPowerMonitor(_BusPowerMonitor):
         if self._clock_tree_energy is not None:
             energies["CLK"] = self._clock_tree_cycle_energy()
         htrans_of(row[0])  # raises for a code with no HTRANS member
-        self.fsm.step(now, MODES[terms.mode], energies,
-                      response=hresp_of(row[self._resp_col]).name)
-        self.master_energy[row[self._owner_col]] += sum(energies.values())
+        self._charge((now,), (terms.mode,),
+                     {block: (energy,) for block, energy in energies.items()},
+                     (hresp_of(row[self._resp_col]).name,),
+                     (row[self._owner_col],))
+
+    def _charge(self, times, codes, energies, responses, owners):
+        """Step the power FSM over one cycle or a block, given as
+        columns (:meth:`PowerFsm.step_block`), and charge each cycle's
+        total to its address-phase owner."""
+        master_energy = self.master_energy
+        for owner, total in zip(owners, self.fsm.step_block(
+                times, codes, energies, responses)):
+            master_energy[owner] += total
 
     def _fold(self, ops, cur, terms, count):
         """Apply the integer *terms* of *count* cycles whose values are

@@ -6,12 +6,16 @@ observed mode plus the per-block energies computed by the macromodels,
 classifies the executed instruction, and dispatches the energy to the
 ledger, the power traces and (optionally) a data file — "the energy
 value output in a data file" of the paper's listing.
+
+:meth:`PowerFsm.step_block` does this for a block of cycles given as
+columns, feeding each sink once per block in cycle order: a live cycle
+is a one-row block, a batched replay hands it whole blocks.
 """
 
 from __future__ import annotations
 
 from ..kernel.time import to_seconds
-from .instructions import BusMode, instruction_name
+from .instructions import ALL_INSTRUCTIONS, MODES, BusMode, instruction_name
 from .ledger import EnergyLedger
 
 
@@ -36,13 +40,11 @@ class PowerFsm:
         self.traces = traces
         self.datafile = datafile
         #: Optional telemetry hook (e.g.
-        #: :class:`repro.telemetry.PowerTracer`); its ``on_step`` is
-        #: called once per cycle.  Costs one ``None`` check when unset.
-        #: A tracer that also has ``on_modes(codes)`` lets the global
-        #: monitor batch: each replayed block then calls it once with
-        #: the block's per-cycle modes as codes into
-        #: :data:`~repro.power.instructions.MODES`
-        #: (:mod:`repro.power.monitor_batch`).
+        #: :class:`repro.telemetry.PowerTracer`): its
+        #: ``on_block(times, codes, instructions, energies, totals)`` is
+        #: called once per :meth:`step_block` with the block's columns,
+        #: modes as codes into :data:`~repro.power.instructions.MODES`.
+        #: Costs one ``None`` check per block when unset.
         self.tracer = tracer
         self.state = BusMode.IDLE
         self.instruction_log = None
@@ -54,41 +56,51 @@ class PowerFsm:
             self.instruction_log = []
 
     def step(self, time_ps, mode, block_energies, response=None):
-        """Advance one cycle.
-
-        Parameters
-        ----------
-        time_ps:
-            Kernel time of the cycle boundary.
-        mode:
-            The observed :class:`~repro.power.instructions.BusMode`.
-        block_energies:
-            Mapping block key → joules for this cycle.
-        response:
-            Optional bus response tag (``"OKAY"``/``"RETRY"``/...) for
-            the ledger's fault-overhead accounting.
-
-        Returns the executed instruction name.
-        """
+        """Advance one cycle, a one-row :meth:`step_block`: *mode* is
+        the observed :class:`~repro.power.instructions.BusMode`,
+        *block_energies* maps block key → joules and *response* is the
+        cycle's response tag.  Returns the executed instruction name."""
         instruction = instruction_name(self.state, mode)
-        self.state = mode
-        total = self.ledger.charge_cycle(instruction, block_energies,
-                                         response=response)
-        if self.traces is not None:
-            self.traces.record(time_ps, block_energies)
-            self.traces.record(time_ps, {"TOTAL": total})
-        if self.datafile is not None:
-            self.datafile.write(
-                "%.9e %s %.6e\n"
-                % (to_seconds(time_ps), instruction, total)
-            )
-        if self.instruction_log is not None:
-            self.instruction_log.append((time_ps, instruction, total))
-        if self.tracer is not None:
-            self.tracer.on_step(time_ps, mode, instruction,
-                                block_energies, total, response)
-        self.cycles += 1
+        self.step_block(
+            (time_ps,), (MODES.index(mode),),
+            {block: (energy,) for block, energy in block_energies.items()},
+            (response,))
         return instruction
+
+    def step_block(self, times, codes, energies, responses):
+        """Advance over a block of cycles, given as columns: each
+        cycle's kernel time, its mode as a code into
+        :data:`~repro.power.instructions.MODES`, block key → the block's
+        per-cycle joules, and its response tag (``"OKAY"``/``"RETRY"``/
+        ..., or ``None``) for the ledger's fault-overhead accounting.
+        Classifies each cycle's instruction, charges the
+        ledger (:meth:`~repro.power.ledger.EnergyLedger.charge_block`),
+        feeds each attached sink once, in cycle order, and returns the
+        per-cycle total energies.
+        """
+        instructions = []
+        previous = MODES.index(self.state)
+        for code in codes:
+            instructions.append(ALL_INSTRUCTIONS[4 * previous + code])
+            previous = code
+        self.state = MODES[previous]
+        totals = self.ledger.charge_block(instructions, energies,
+                                          responses)
+        if self.traces is not None:
+            self.traces.extend(times, energies)
+            self.traces.extend(times, {"TOTAL": totals})
+        if self.datafile is not None:
+            for time_ps, instruction, total in zip(times, instructions,
+                                                   totals):
+                self.datafile.write("%.9e %s %.6e\n" % (
+                    to_seconds(time_ps), instruction, total))
+        if self.instruction_log is not None:
+            self.instruction_log.extend(zip(times, instructions, totals))
+        if self.tracer is not None:
+            self.tracer.on_block(times, codes, instructions, energies,
+                                 totals)
+        self.cycles += len(codes)
+        return totals
 
     def reset(self, mode=BusMode.IDLE):
         """Reset the FSM state (ledger contents are preserved)."""

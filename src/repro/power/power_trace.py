@@ -29,10 +29,15 @@ class PowerTrace:
 
     def record(self, time_ps, energy):
         """Append one event: *energy* joules spent at *time_ps*."""
-        if energy < 0:
-            raise ValueError("negative energy event")
-        self._times.append(time_ps)
-        self._energies.append(energy)
+        self.extend((time_ps,), (energy,))
+
+    def extend(self, times, energies):
+        """Append one event per *times*/*energies* pair, in order."""
+        for energy in energies:
+            if energy < 0:
+                raise ValueError("negative energy event")
+        self._times.extend(times)
+        self._energies.extend(energies)
 
     def __len__(self):
         return len(self._times)
@@ -136,11 +141,17 @@ class TraceSet:
 
     def record(self, time_ps, energies):
         """Record a dict of block → energy at *time_ps*."""
-        for name, energy in energies.items():
+        self.extend((time_ps,), {name: (energy,)
+                                 for name, energy in energies.items()})
+
+    def extend(self, times, energies):
+        """Record a block of cycles: *energies* maps block → the
+        block's energy at each of *times*."""
+        for name, column in energies.items():
             trace = self.traces.get(name)
             if trace is None:
                 trace = self.traces[name] = PowerTrace(name)
-            trace.record(time_ps, energy)
+            trace.extend(times, column)
 
     def names(self):
         """Trace labels currently present."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from ..amba.types import HRESP, HTRANS
 from ..kernel import Module
+from ..power.instructions import MODES
 from .registry import (
     CYCLE_BUCKETS,
     MetricsRegistry,
@@ -283,8 +284,9 @@ class BusTelemetry(Module):
 class PowerTracer:
     """Power-FSM hook: state segments plus per-block energy samples.
 
-    Attached as ``power_fsm.tracer``; the FSM calls :meth:`on_step`
-    once per cycle (one ``None`` check per cycle when detached).
+    Attached as ``power_fsm.tracer``; the FSM calls :meth:`on_block`
+    once per live cycle or replayed block (one ``None`` check per
+    block when detached).
     """
 
     def __init__(self, tracer, registry, counter_every=1):
@@ -307,32 +309,36 @@ class PowerTracer:
             labelnames=("instruction",))
         self._instruction_children = {}
 
-    def on_step(self, time_ps, mode, instruction, block_energies,
-                total, response):
-        if mode is not self._state:
-            if self._state is not None:
-                self._fsm_track.end(time_ps)
-            self._fsm_track.begin(mode.name, time_ps, cat="power.fsm")
-            self._state = mode
-        self._cycles.inc()
-        self._cycle_hist.observe(total)
-        child = self._instruction_children.get(instruction)
-        if child is None:
-            child = self._instructions.labels(instruction=instruction)
-            self._instruction_children[instruction] = child
-        child.inc()
-        for block, energy in block_energies.items():
-            block_child = self._block_children.get(block)
-            if block_child is None:
-                block_child = self._block_energy.labels(block=block)
-                self._block_children[block] = block_child
-            block_child.inc(energy)
-        if self.counter_every and self._tick % self.counter_every == 0:
-            self._energy_track.counter(
-                "energy_j", time_ps,
-                {block: energy
-                 for block, energy in block_energies.items()})
-        self._tick += 1
+    def on_block(self, times, codes, instructions, energies, totals):
+        """One block of cycles, as the power FSM's columns: times, mode
+        codes (into :data:`~repro.power.instructions.MODES`),
+        instruction names, block → per-cycle energies, and totals."""
+        blocks = tuple(energies)
+        for time_ps, code, instruction, total, *values in zip(
+                times, codes, instructions, totals, *energies.values()):
+            if code != self._state:
+                if self._state is not None:
+                    self._fsm_track.end(time_ps)
+                self._fsm_track.begin(MODES[code].name, time_ps,
+                                      cat="power.fsm")
+                self._state = code
+            self._cycles.inc()
+            self._cycle_hist.observe(total)
+            child = self._instruction_children.get(instruction)
+            if child is None:
+                child = self._instructions.labels(instruction=instruction)
+                self._instruction_children[instruction] = child
+            child.inc()
+            for block, energy in zip(blocks, values):
+                block_child = self._block_children.get(block)
+                if block_child is None:
+                    block_child = self._block_energy.labels(block=block)
+                    self._block_children[block] = block_child
+                block_child.inc(energy)
+            if self.counter_every and self._tick % self.counter_every == 0:
+                self._energy_track.counter("energy_j", time_ps,
+                                           dict(zip(blocks, values)))
+            self._tick += 1
 
 
 class Telemetry:

@@ -16,6 +16,7 @@ and seeds that holds interpreted-batched, interpreted-per-cycle and
 compiled runs to one another.
 """
 
+import io
 import itertools
 import json
 import os
@@ -498,3 +499,106 @@ class TestCompiledEqualsInterpretedProperty:
             if l_system.ledger is not None:
                 assert (system.ledger.state_dict()
                         == l_system.ledger.state_dict())
+
+
+class TestSinksTakeTheBatches:
+    """Power traces, the instruction log and telemetry's power tracer
+    take the monitor's replayed blocks on both engines, and each run's
+    outputs equal those of the same run kept per-cycle."""
+
+    PATHS = ("per-cycle", "interpreted", "compiled")
+
+    @staticmethod
+    def _assert_path(system, path):
+        batch = _monitor_batch(system.sim)
+        if path == "per-cycle":
+            assert batch.rows_replayed == batch.live_diverts == 0
+        else:
+            assert batch.rows_replayed > 0
+            assert batch.live_diverts == 0
+        if path == "compiled":
+            engine = system.sim.scheduler
+            assert engine.runs_compiled > 0, engine.fallback_reason
+
+    def _execute(self, spec, path, install):
+        def instrument(system):
+            install(system)
+            if path == "per-cycle":
+                _per_cycle(system)
+        run = spec if path == "per-cycle" else spec.replace(engine=path)
+        system, outcome = execute(run, instrument=instrument)
+        self._assert_path(system, path)
+        return system, outcome
+
+    def test_power_figure_traces(self, monkeypatch):
+        from repro.analysis import experiments
+        from repro.analysis.export import traces_to_csv
+
+        build = experiments.build_paper_testbench
+        outputs = []
+        for path in self.PATHS:
+            built = []
+
+            def setup(**kwargs):
+                testbench = build(**kwargs)
+                if path == "per-cycle":
+                    _per_cycle(testbench)
+                elif path == "compiled":
+                    compile_system(testbench)
+                built.append(testbench)
+                return testbench
+
+            monkeypatch.setattr(experiments, "build_paper_testbench",
+                                setup)
+            reset_txn_ids()
+            result = experiments.run_power_figure(
+                duration_ps=us(DURATION_US))
+            (testbench,) = built
+            self._assert_path(testbench, path)
+            traces = testbench.monitor.traces
+            csv = io.StringIO()
+            traces_to_csv(traces, 100_000, csv)
+            outputs.append((csv.getvalue().encode(), result.metrics,
+                            {name: (trace._times, trace._energies)
+                             for name, trace in traces.traces.items()}))
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+    def test_instruction_log(self):
+        spec = campaign_spec("portable-audio-player",
+                             fault="always-retry", seed=5,
+                             duration_us=8.0)
+        observed = []
+        for path in self.PATHS:
+            system, outcome = self._execute(
+                spec, path, lambda system: system.monitor.fsm
+                .enable_logging())
+            log = system.monitor.fsm.instruction_log
+            assert len(log) == system.clk.cycles
+            observed.append((log, system.monitor.state_dict(),
+                             outcome.fingerprint()))
+        assert observed[1] == observed[0]
+        assert observed[2] == observed[0]
+
+    def test_telemetry_power_tracer(self):
+        from repro.telemetry import Telemetry
+
+        spec = campaign_spec("portable-videogame", fault="always-retry",
+                             seed=7, duration_us=8.0)
+        observed = []
+        for path in self.PATHS:
+            telemetry = Telemetry(trace_kernel=False)
+            system, outcome = self._execute(spec, path,
+                                            telemetry.instrument)
+            telemetry.finalize()
+            tracks = {}
+            for event in telemetry.tracer.events:
+                tracks.setdefault((event.pid, event.tid), []).append(
+                    (event.ts_ps, event.phase, event.name, event.cat,
+                     event.args))
+            assert tracks[("power", "power_fsm")]
+            assert tracks[("power", "energy")]
+            observed.append((telemetry.snapshot(), tracks,
+                             outcome.fingerprint()))
+        assert observed[1] == observed[0]
+        assert observed[2] == observed[0]

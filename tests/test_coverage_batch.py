@@ -8,7 +8,7 @@ by a no-op kernel observer): the same coverage keys and the same
 checkpointed probe state, on healthy runs, past the row cap, through
 out-of-range codes the live methods must see, across a warm-start
 restore, and for Hypothesis-generated specs.  A probe chained to a
-telemetry tracer keeps the power monitor live.  With no simulator, the
+telemetry tracer batches too.  With no simulator, the
 bus monitor's block replay is held to ``_observe`` row by row on random
 in-guard rows cut into random blocks.
 """
@@ -193,7 +193,7 @@ class TestBatchedProbe:
                 rows = _batch(system.sim, kind).rows_replayed
                 assert 0 < rows < system.clk.cycles
 
-    def test_probe_chained_to_telemetry_keeps_monitor_live(self):
+    def test_probe_chained_to_telemetry_batches_the_monitor(self):
         spec = campaign_spec("portable-audio-player", "none", seed=3,
                              duration_us=3.0)
 
@@ -202,9 +202,10 @@ class TestBatchedProbe:
                 .instrument(system)
 
         for system in assert_identity(spec, extra=telemetry):
-            assert _batch(system.sim, MonitorBatch).rows_replayed == 0
-            bus = _batch(system.sim, _BusCoverageBatch)
-            assert bus.rows_replayed == system.clk.cycles
+            for kind in (MonitorBatch, _BusCoverageBatch):
+                batch = _batch(system.sim, kind)
+                assert batch.rows_replayed == system.clk.cycles
+                assert batch.live_diverts == 0
 
 
 class TestSimulatorClose:

@@ -4,17 +4,18 @@
 in blocks; :meth:`GlobalPowerMonitor._step` is the per-cycle reference.
 These tests feed both the same random rows with no simulation: every
 code inside the recorder's guards, every value inside its column's
-width, random owners and grants, cut into random blocks.  After every
-block the monitor state (ledger and FSM included), the per-master
-chargeback and the mode codes a block-aware power-FSM tracer received
-must be equal.  A value beyond int64 forces the scalar fallback.
+width, random owners and grants, increasing time stamps, cut into
+random blocks.  After every block the monitor state (ledger and FSM
+included), the per-master chargeback and every sink's contents (the
+power traces, the instruction log and each column a power-FSM tracer
+received) must be equal.  A value beyond int64 forces the scalar
+fallback.
 """
 
 import pytest
 
 from repro.amba import AhbBus, AhbConfig
 from repro.kernel import Clock, MHz, Simulator
-from repro.power.instructions import MODES
 from repro.power.monitor_batch import MonitorBatch
 from repro.power.monitors import GlobalPowerMonitor
 
@@ -26,33 +27,33 @@ from hypothesis import strategies as st  # noqa: E402
 N_MASTERS = 3
 
 
-class _ModeLog:
-    """A power-FSM tracer taking both the per-cycle and the block hook;
-    it logs every cycle's mode code in order."""
+class _ColumnLog:
+    """A power-FSM tracer that logs every column it is given, one
+    tuple per cycle, so the log does not depend on the block cuts."""
 
     def __init__(self):
-        self.codes = []
+        self.cycles = []
 
-    def on_step(self, time_ps, mode, instruction, block_energies, total,
-                response):
-        self.codes.append(MODES.index(mode))
-
-    def on_modes(self, codes):
-        self.codes.extend(codes)
+    def on_block(self, times, codes, instructions, energies, totals):
+        self.cycles.extend(zip(
+            times, codes, instructions, totals,
+            *[[(block, energy) for energy in column]
+              for block, column in energies.items()]))
 
 
 def _monitor():
     """A global monitor on a 3-master, 2-slave bus that is never
-    simulated, with a mode log as its tracer.  Returns it and its
-    record/replay batch."""
+    simulated, with power traces, an instruction log and a column log
+    as its tracer.  Returns it and its record/replay batch."""
     sim = Simulator()
     clk = Clock.from_frequency(sim, "clk", MHz(100))
     config = AhbConfig.with_uniform_map(n_masters=N_MASTERS, n_slaves=2,
                                         region_size=0x1000,
                                         default_master=2)
     bus = AhbBus(sim, "ahb", clk, config)
-    monitor = GlobalPowerMonitor(sim, "pm", bus)
-    monitor.fsm.tracer = _ModeLog()
+    monitor = GlobalPowerMonitor(sim, "pm", bus, with_traces=True)
+    monitor.fsm.enable_logging()
+    monitor.fsm.tracer = _ColumnLog()
     (batch,) = [batch for batch in sim.batches
                 if isinstance(batch, MonitorBatch)]
     assert batch.eligible()
@@ -60,15 +61,19 @@ def _monitor():
 
 
 def _observed(monitor):
+    traces = monitor.fsm.traces.traces
     return (monitor.state_dict(), list(monitor.master_energy),
-            list(monitor.fsm.tracer.codes))
+            {name: (trace._times[:], trace._energies[:])
+             for name, trace in traces.items()},
+            list(monitor.fsm.tracer.cycles))
 
 
 @st.composite
 def recorded_rows(draw):
     """Rows as the recorder appends them: HTRANS and HRESP in 0..3, an
     owner in ``-n..n-1``, every other value inside its column's width,
-    each column often holding its previous value."""
+    each column often holding its previous value, then an increasing
+    time stamp."""
     monitor, _ = _monitor()
     owner_col = monitor._owner_col
     widths = [signal.width for signal in monitor.columns]
@@ -76,8 +81,9 @@ def recorded_rows(draw):
     ranges[owner_col] = (-N_MASTERS, N_MASTERS - 1)
     ranges[owner_col + 1] = (0, N_MASTERS - 1)
     small = draw(st.booleans())
-    rows = []
+    rows, now = [], 0
     for _ in range(draw(st.integers(1, 40))):
+        now += draw(st.integers(1, 20_000))
         row = []
         for column, (low, high) in enumerate(ranges):
             if rows and draw(st.integers(0, 2)) == 0:
@@ -86,7 +92,7 @@ def recorded_rows(draw):
                 row.append(draw(st.integers(low, min(high, 3))))
             else:
                 row.append(draw(st.integers(low, high)))
-        rows.append(tuple(row))
+        rows.append((*row, now))
     return rows
 
 
@@ -114,7 +120,7 @@ class TestBatchEqualsStepProperty:
         monitor, batch = _monitor()
         for block in _cut(rows, sizes):
             for row in block:
-                reference._step(row, 0)
+                reference._step(row[:-1], row[-1])
             batch._rows.extend(block)
             batch.flush()
             assert _observed(monitor) == _observed(reference)
@@ -124,7 +130,7 @@ class TestBatchEqualsStepProperty:
         reference, _ = _monitor()
         monitor, batch = _monitor()
         wdata = monitor.columns.index(monitor.bus.hwdata)
-        quiet = (0,) * len(monitor.columns)
+        quiet = (0,) * len(monitor.columns) + (10_000,)
         huge = list(quiet)
         huge[0], huge[wdata] = 2, (1 << 63) + 5
         blocks = ([quiet, (2,) + quiet[1:]],
@@ -134,7 +140,7 @@ class TestBatchEqualsStepProperty:
                   [quiet, (2,) + quiet[1:]])
         for index, block in enumerate(blocks):
             for row in block:
-                reference._step(row, 0)
+                reference._step(row[:-1], row[-1])
             if index in (1, 2):
                 before = _observed(monitor)
                 with pytest.raises(OverflowError):
